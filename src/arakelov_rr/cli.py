@@ -8,6 +8,7 @@ fractions like -5/2, and decimal strings like 2.5 (never binary floats).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -492,8 +493,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on first use and kept for the process.
+
+    Parsing reads the parser and writes only the fresh namespace, so one
+    instance serves any number of calls.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.precision < 32:
         parser.error("--precision must be at least 32 bits")

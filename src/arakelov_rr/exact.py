@@ -7,6 +7,7 @@ enclosures are honest intervals: directed rounding throughout, so
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -14,21 +15,45 @@ from typing import Callable
 from .errors import PrecisionError, SizeCapError
 
 
+#: Below this many bits per root index a Newton loop from a power-of-two
+#: start is already cheap, so the start is not seeded recursively.
+_SEED_BITS_PER_INDEX = 64
+
+
 def nth_root_floor(n: int, k: int) -> int:
-    """Largest integer t with t**k <= n, for n >= 0, k >= 1."""
+    """Largest integer t with t**k <= n, for n >= 0, k >= 1.
+
+    Square roots come from ``math.isqrt``.  Other roots of wide n use
+    precision doubling: the root of n with its low k*s bits dropped,
+    plus one and shifted left by s, overestimates the root with about
+    half its bits right, so a single full-width Newton step lands on
+    it or one above.  Narrow n iterate Newton from a power of two.
+    Either way the closing loops certify t**k <= n < (t+1)**k.
+    """
     if k < 1:
         raise ValueError("root index must be >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k == 1 or n in (0, 1):
         return n
-    # Newton iteration from an overestimate; monotonically decreasing.
-    x = 1 << ((n.bit_length() - 1) // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
+    if k == 2:
+        return math.isqrt(n)
+    bits = n.bit_length()
+    if bits < _SEED_BITS_PER_INDEX * k:
+        # Newton iteration from an overestimate; monotonically decreasing.
+        x = 1 << ((bits - 1) // k + 1)
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+    else:
+        # Newton from x = t(1 + e) overshoots by at most (k-1)/2 * t * e**2,
+        # with t*e <= 2**s; the guard bits keep that below one half.
+        guard = (k - 1).bit_length() + 1
+        s = (bits // k - guard) // 2
+        x = (nth_root_floor(n >> (k * s), k) + 1) << s
+        x = ((k - 1) * x + n // x ** (k - 1)) // k
     while x ** k > n:
         x -= 1
     while (x + 1) ** k <= n:
@@ -50,7 +75,12 @@ def nth_root_floor_fraction(q: Fraction, k: int) -> int:
     return t
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by the log2_bounds cache.  Refinement reuses the few
+#: small places at a few precisions; bisection probes are never reused.
+LOG2_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=LOG2_CACHE_SIZE)
 def log2_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
     """Rigorous enclosure lo <= log2(p) <= hi, normally of width 2**(1 - bits).
 
@@ -73,18 +103,22 @@ def log2_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
     lo = scaled >> e
     hi = lo + (1 if scaled & ((1 << e) - 1) else 0)
     two = 2 << prec
-    frac_lo = Fraction(0)
+    # The fractional digits found so far, as a binary integer.
+    digits = 0
     for i in range(1, bits + 1):
         lo = (lo * lo) >> prec
         hi = -((-(hi * hi)) >> prec)
+        digits <<= 1
         if lo >= two:
-            frac_lo += Fraction(1, 1 << i)
+            digits |= 1
             lo >>= 1
             hi = -((-hi) >> 1)
         elif hi >= two:
             # Straddle: the i-th digit is undecidable at this precision.
-            return e + frac_lo, e + frac_lo + Fraction(3, 1 << i)
-    return e + frac_lo, e + frac_lo + Fraction(2, 1 << bits)
+            low = (e << i) + digits
+            return Fraction(low, 1 << i), Fraction(low + 3, 1 << i)
+    low = (e << bits) + digits
+    return Fraction(low, 1 << bits), Fraction(low + 2, 1 << bits)
 
 
 #: Largest intermediate size (in bits, roughly) floor_pow2_rational will
@@ -162,11 +196,22 @@ def floor_pow2_rational(
     )
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13, the least strong pseudoprime to all thirteen bases above
+#: (Sorenson and Webster, Math. Comp. 2017).  Below it the test is exact.
+PRIMALITY_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for all n < 3.3 * 10**24)."""
+    """Deterministic Miller-Rabin, exact for every n below PRIMALITY_LIMIT.
+
+    Larger n raise SizeCapError rather than get a probabilistic answer.
+    """
+    if n >= PRIMALITY_LIMIT:
+        raise SizeCapError(
+            f"primality is decided exactly only below {PRIMALITY_LIMIT}"
+        )
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -9,9 +9,10 @@ lives here together with a linear-time shortcut for symmetric intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import DomainError, LevelMismatchError, SizeCapError
 
@@ -157,6 +158,18 @@ class SubsetSpec:
             return q.denominator == 1 and -self.bound <= q <= self.bound
         return value in self.members
 
+    def scaled_test(self, scale: int) -> Callable[[int], bool]:
+        """The test ``t -> self.contains(Fraction(t, scale))`` on integers t."""
+        if self.kind == "symmetric":
+            limit = math.floor(self.bound * scale)
+            return lambda t: -limit <= t <= limit
+        if self.kind == "integers":
+            limit = self.bound * scale
+            return lambda t: t % scale == 0 and -limit <= t <= limit
+        scaled = (Fraction(v) * scale for v in self.members)
+        allowed = frozenset(int(v) for v in scaled if v.denominator == 1)
+        return allowed.__contains__
+
 
 def pushforward(phi: PointedMap, x: PointedVector) -> PointedVector:
     """Apply phi to x: entry l of the result sums the entries phi sends to l."""
@@ -176,8 +189,10 @@ def member_subfunctor(x: PointedVector, subset: SubsetSpec) -> bool:
 
     Exhaustive over all 2**k index subsets, including the empty one.  This
     is the reference predicate; the linear-time variants below are tested
-    against it.  Gray-code order keeps each step to a single add, and a
-    violating sum exits immediately.
+    against it.  The sums are taken over ints: every entry is multiplied by
+    the lcm of the denominators, and the subset test is scaled to match.
+    Zero entries are skipped, as they add no new sum.  Gray-code order
+    keeps each step to a single add, and a violating sum exits immediately.
     """
     k = x.level
     if k > SUBSET_ENUM_CAP:
@@ -186,18 +201,20 @@ def member_subfunctor(x: PointedVector, subset: SubsetSpec) -> bool:
         )
     if not subset.contains(EMPTY_SUM):
         return False
-    entries = x.entries
-    total: Scalar = EMPTY_SUM
+    scale = math.lcm(*(Fraction(e).denominator for e in x.entries))
+    entries = [int(e * scale) for e in x.entries if e != 0]
+    inside = subset.scaled_test(scale)
+    total = 0
     picked = 0
-    for counter in range(1, 1 << k):
+    for counter in range(1, 1 << len(entries)):
         index = (counter & -counter).bit_length() - 1
         bit = 1 << index
         picked ^= bit
         if picked & bit:
-            total = total + entries[index]
+            total += entries[index]
         else:
-            total = total - entries[index]
-        if not subset.contains(total):
+            total -= entries[index]
+        if not inside(total):
             return False
     return True
 

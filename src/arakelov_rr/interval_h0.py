@@ -15,7 +15,6 @@ resulting dimension formula for nonnegative degrees.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -327,6 +326,10 @@ def _scan_level(
     if workers <= 1:
         hits = _scan_shard(universe, a, size, prune, collect_all, 0, 1)
     else:
+        # Imported here: the pool machinery (multiprocessing, logging, ...)
+        # costs about 1 MiB resident, and only this branch needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(

@@ -109,6 +109,15 @@ def test_euler_bad_place_syntax(capsys):
     assert code == cli.EXIT_USAGE
 
 
+def test_euler_rejects_psi12_and_uncheckable_places(capsys):
+    # psi12 = 399165290221 * 798330580441 fools Miller-Rabin at bases 2..37
+    for place in ("318665857834031151167461:1", "3317044064679887385961981:1"):
+        code, out, err = run(["euler", "--place", place], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_euler_precision_exhaustion_exit_code(capsys):
     lo, _ = log2_bounds(3, 400)
     code, _, err = run(["euler", "--place", "3:1", "--arch", f"-{lo}"], capsys)
@@ -326,3 +335,41 @@ def test_global_flag_after_subcommand_is_an_error(capsys):
     # subcommand; document that with a test
     code, _, err = run(["euler", "--format", "json"], capsys)
     assert code == cli.EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process (the parser is built once and reused)
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_calls_json_then_text(capsys):
+    code, out, _ = run(["--format", "json", "euler", "--place", "3:1"], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["h0"] == 3
+    code, out, _ = run(["euler", "--place", "3:1"], capsys)
+    assert code == cli.EXIT_OK
+    assert out.startswith("deg2 = 0 + log2(3)")
+    assert "dim_S H0 = 3" in out
+
+
+def test_repeated_calls_usage_error_then_valid(capsys):
+    code, _, err = run(["--workers", "0", "min-gen", "3"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "--workers" in err
+    code, out, err = run(["min-gen", "3"], capsys)
+    assert code == cli.EXIT_OK
+    assert "{-3, 1, 2}" in out
+    assert err == ""
+
+
+def test_repeated_calls_out_file_then_stdout(tmp_path, capsys):
+    target = tmp_path / "h0.txt"
+    code, out, _ = run(["dim-h0", "4", "--out", str(target)], capsys)
+    assert code == cli.EXIT_OK
+    assert out == ""
+    written = target.read_text()
+    assert written.startswith("dim_S H0 = 6")
+    code, out, _ = run(["dim-h0", "4"], capsys)
+    assert code == cli.EXIT_OK
+    assert out == written
+

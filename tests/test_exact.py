@@ -24,12 +24,32 @@ def test_nth_root_floor_defining_inequality(x, n):
     assert (r + 1) ** n > x
 
 
+@st.composite
+def wide_ints(draw, max_bits=20_000):
+    return draw(st.integers(0, 2 ** draw(st.integers(0, max_bits))))
+
+
+@hypothesis.given(wide_ints(), st.integers(1, 14))
+def test_nth_root_floor_defining_inequality_wide(x, n):
+    # wide enough to take the recursively seeded Newton path
+    r = exact.nth_root_floor(x, n)
+    assert r ** n <= x
+    assert (r + 1) ** n > x
+
+
 def test_nth_root_floor_exact_powers():
     for base in (0, 1, 2, 3, 10, 12345):
         for n in (1, 2, 3, 7):
             assert exact.nth_root_floor(base ** n, n) == base
             if base ** n > 0:
                 assert exact.nth_root_floor(base ** n - 1, n) == base - 1
+    # bases of several hundred bits, whose powers take the seeded path
+    for base in (3 ** 200, 2 ** 300 - 1, 2 ** 300 + 1, 7 ** 250 + 12345, 10 ** 150):
+        for n in range(2, 15):
+            power = base ** n
+            assert exact.nth_root_floor(power - 1, n) == base - 1
+            assert exact.nth_root_floor(power, n) == base
+            assert exact.nth_root_floor(power + 1, n) == base
 
 
 @hypothesis.given(
@@ -41,6 +61,25 @@ def test_nth_root_floor_fraction_defining_inequality(q, n):
     # r**n <= p/q < (r+1)**n, cleared of the denominator
     assert r ** n * q.denominator <= q.numerator
     assert (r + 1) ** n * q.denominator > q.numerator
+
+
+@hypothesis.given(
+    st.integers(0, 400),
+    st.lists(
+        st.tuples(st.sampled_from([3, 5, 7, 11, 13, 1000003]), st.integers(-40, 40)),
+        max_size=3,
+    ),
+    st.integers(2, 12),
+)
+def test_nth_root_floor_fraction_place_quotients(alpha, places, beta):
+    # the quotients DegreeValue.floor_pow2 builds: 2**alpha * prod p**(m*beta),
+    # with negative multiplicities giving wide denominators
+    q = Fraction(2) ** alpha
+    for p, m in places:
+        q *= Fraction(p) ** (m * beta)
+    r = exact.nth_root_floor_fraction(q, beta)
+    assert r ** beta * q.denominator <= q.numerator
+    assert (r + 1) ** beta * q.denominator > q.numerator
 
 
 def decimal_log2(t):
@@ -81,6 +120,39 @@ def test_log2_bounds_width_is_tight_normally():
             assert hi - lo <= Fraction(2, 2 ** bits)
 
 
+def test_log2_bounds_pinned_values():
+    # (p, bits) -> (lo, hi) as the digit-by-digit Fraction sum produced them
+    straddling = 1574241800873067763483740987709  # ~ 2**(100 + 5/16)
+    pinned = {
+        (3, 32): (Fraction(6807362105, 2 ** 32), Fraction(6807362107, 2 ** 32)),
+        (3, 256): (
+            Fraction(
+                183526119321303951305965157795995817513352504879811268056770310897279532941815,
+                2 ** 256,
+            ),
+            Fraction(
+                183526119321303951305965157795995817513352504879811268056770310897279532941817,
+                2 ** 256,
+            ),
+        ),
+        (1000003, 128): (
+            Fraction(6782362801985453736277396596505680222543, 2 ** 128),
+            Fraction(6782362801985453736277396596505680222545, 2 ** 128),
+        ),
+        (straddling, 32): (Fraction(401, 4), Fraction(1607, 16)),
+    }
+    for (p, bits), expected in pinned.items():
+        assert exact.log2_bounds(p, bits) == expected
+
+
+def test_log2_bounds_cache_is_bounded():
+    info = exact.log2_bounds.cache_info()
+    assert info.maxsize == exact.LOG2_CACHE_SIZE
+    for t in range(3, 3 + 2 * exact.LOG2_CACHE_SIZE):
+        exact.log2_bounds(t, 32)
+    assert exact.log2_bounds.cache_info().currsize <= exact.LOG2_CACHE_SIZE
+
+
 def test_log2_bounds_refine_nested():
     coarse = exact.log2_bounds(3, 32)
     fine = exact.log2_bounds(3, 128)
@@ -101,6 +173,20 @@ def trial_division(n):
 @hypothesis.given(st.integers(-10, 10 ** 5))
 def test_is_prime_matches_trial_division(n):
     assert exact.is_prime(n) == trial_division(n)
+
+
+def test_is_prime_psi12_is_composite():
+    # the least strong pseudoprime to the twelve prime bases 2..37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not exact.is_prime(psi12)
+
+
+def test_is_prime_refuses_psi13_and_above():
+    assert not exact.is_prime(exact.PRIMALITY_LIMIT - 1)
+    for n in (exact.PRIMALITY_LIMIT, 2 ** 127 - 1):
+        with pytest.raises(SizeCapError):
+            exact.is_prime(n)
 
 
 def test_is_prime_fermat_liars():

@@ -244,6 +244,8 @@ unit_mass = st.lists(
 
 
 @hypothesis.given(unit_mass, small_vectors, st.fractions(min_value=0, max_value=8, max_denominator=4))
+@hypothesis.example([Fraction(0)] * 4, gamma.vector(0, 0, 0, 0), Fraction(4))
+@hypothesis.example([Fraction(1, 6)] * 4, gamma.vector(1, -1, 2, -2), Fraction(3))
 def test_smash_preserves_symmetric_membership(alpha_entries, a, bound):
     # acting by a unit-l1-mass tuple keeps every subset sum inside [-b, b]
     alpha = gamma.vector(*alpha_entries)

@@ -2,7 +2,11 @@
 the tabulated minimal sets, the general construction, and floor(2**x)."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -193,6 +197,19 @@ def test_min_search_parallel_matches_serial():
         5, interval_h0.SearchOptions(parallel_width=2)
     )
     assert (serial.size, serial.witness) == (sharded.size, sharded.witness)
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    # only a sharded search needs multiprocessing; euler and the other
+    # commands should not carry it
+    package_dir = Path(interval_h0.__file__).resolve().parent.parent
+    probe = (
+        "import sys, arakelov_rr.cli; "
+        "sys.exit('concurrent.futures.process' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package_dir))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_min_search_without_pruning_agrees():
