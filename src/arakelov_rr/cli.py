@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 precision exhausted.  All numeric input is parsed exactly: integers,
-fractions like -5/2, and decimal strings like 2.5 (never binary floats).
+Exit codes: 0 success, 1 verification failure, 2 usage error or an input
+past a size cap, 3 precision exhausted.  All numeric input is parsed
+exactly: integers, fractions like -5/2, and decimal strings like 2.5
+(never binary floats).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import circle_h1, interval_h0, negabinary, verify
+from . import circle_h1, exact, interval_h0, negabinary, verify
 from .divisor import (
     DEFAULT_PRECISION_BITS,
     ArakelovDivisor,
@@ -27,7 +28,7 @@ from .divisor import (
     series_to_json,
     series_to_svg,
 )
-from .errors import DomainError, FormulaViolation, PrecisionError
+from .errors import DomainError, FormulaViolation, PrecisionError, SizeCapError
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -102,7 +103,9 @@ def cmd_dim_h0(args, config: RunConfig) -> int:
     if deg < 0:
         lines.append("degree is negative: the module is the base point alone")
     else:
-        a = interval_h0.floor_pow2(deg)
+        a = exact.floor_pow2_rational(deg)
+        if a >= exact.STR_LIMIT:
+            raise SizeCapError(f"integer part of 2**{deg} is too long to print in full")
         obj["interval_bound"] = str(a)
         lines.append(f"integer part of 2^deg2: a = {a}")
         if a >= 1:
@@ -259,7 +262,9 @@ def cmd_negabinary(args, config: RunConfig) -> int:
 
 
 def cmd_scan(args, config: RunConfig) -> int:
-    report = rr_scan(args.lo, args.hi, args.step)
+    report = rr_scan(
+        _check_degree_magnitude(args.lo), _check_degree_magnitude(args.hi), args.step
+    )
     obj = {
         "lo": str(args.lo),
         "hi": str(args.hi),

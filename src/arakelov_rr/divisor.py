@@ -21,20 +21,25 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .circle_h1 import dim_h1
-from .errors import DomainError, FormulaViolation, PrecisionError, SizeCapError
+from .errors import DomainError, FormulaViolation, SizeCapError
 from .exact import (
-    MATERIALIZE_CAP_BITS,
-    floor_pow2_bracketed,
+    REFINE_START_BITS,
     floor_pow2_rational,
     is_prime,
     log2_bounds,
-    nth_root_floor_fraction,
+    materialize_or_bracket,
+    refine,
 )
 from .interval_h0 import dim_h0
 
 #: Default cap (in bits) for interval refinement of odd-prime logs.
 DEFAULT_PRECISION_BITS = 256
-_REFINE_START = 32
+
+#: Most grid points and integer probes one rr_scan evaluates.
+MAX_SCAN_POINTS = 10_000
+
+#: Most samples one figure_data series holds.
+MAX_FIGURE_SAMPLES = 100_000
 
 Rational = Union[int, Fraction]
 
@@ -81,7 +86,7 @@ class DegreeValue:
             "log_terms",
             tuple(sorted((p, m) for p, m in merged.items() if m != 0)),
         )
-        if self.precision_bits < _REFINE_START:
+        if self.precision_bits < REFINE_START_BITS:
             raise DomainError("precision cap too small")
 
     @property
@@ -109,18 +114,14 @@ class DegreeValue:
         if self.is_rational:
             diff = self.rational_part - other
             return (diff > 0) - (diff < 0)
-        bits = _REFINE_START
-        while True:
+
+        def step(bits: int) -> Optional[int]:
             lo, hi = self.bounds(bits)
             if lo > other:
                 return 1
-            if hi < other:
-                return -1
-            if bits >= self.precision_bits:
-                raise PrecisionError(
-                    f"cannot separate {self} from {other} within {self.precision_bits} bits"
-                )
-            bits = min(2 * bits, self.precision_bits)
+            return -1 if hi < other else None
+
+        return refine(step, self.precision_bits, lambda: f"cannot separate {self} from {other}")
 
     def sign(self) -> int:
         return self.compare(0)
@@ -129,42 +130,16 @@ class DegreeValue:
         """Largest integer at most the degree."""
         if self.is_rational:
             return math.floor(self.rational_part)
-        bits = _REFINE_START
-        while True:
+
+        def step(bits: int) -> Optional[int]:
             lo, hi = self.bounds(bits)
-            if math.floor(lo) == math.floor(hi):
-                return math.floor(lo)
-            if bits >= self.precision_bits:
-                raise PrecisionError(
-                    f"floor of {self} undecided within {self.precision_bits} bits"
-                )
-            bits = min(2 * bits, self.precision_bits)
+            k = math.floor(lo)
+            return k if k == math.floor(hi) else None
+
+        return refine(step, self.precision_bits, lambda: f"floor of {self} undecided")
 
     def is_integer(self) -> bool:
         return self.is_rational and self.rational_part.denominator == 1
-
-    def _compare_to_log2(self, t: int) -> int:
-        """Sign of degree - log2(t) for integer t >= 1, by refinement.
-
-        Only called when the degree is irrational (nontrivial rational
-        denominator), so the comparison always resolves or honestly
-        exhausts the precision cap.
-        """
-        if t == 1:
-            return self.sign()
-        bits = _REFINE_START
-        while True:
-            lo, hi = self.bounds(bits)
-            tlo, thi = log2_bounds(t, bits)
-            if lo > thi:
-                return 1
-            if hi < tlo:
-                return -1
-            if bits >= self.precision_bits:
-                raise PrecisionError(
-                    f"cannot separate {self} from log2({t}) within {self.precision_bits} bits"
-                )
-            bits = min(2 * bits, self.precision_bits)
 
     def floor_pow2(self) -> int:
         """Integer part of 2**degree, decided exactly.
@@ -172,27 +147,16 @@ class DegreeValue:
         With degree = alpha/beta + sum m_p log2(p), the power 2**degree
         is the beta-th root of the integer ratio 2**alpha * prod
         p**(m_p * beta): an integer root computation, not an
-        approximation.  When that intermediate would be astronomically
-        wide (huge beta), the answer is bracketed by binary search with
-        rigorous log2 comparisons instead, which is sound because beta > 1
-        makes 2**degree irrational.
+        approximation.  When that ratio is too wide to build, the answer
+        is bracketed by rigorous log2 comparisons instead.
         """
         if self.sign() < 0:
             return 0
         if self.is_rational:
             return floor_pow2_rational(self.rational_part)
-        beta = self.rational_part.denominator
-        k = self.floor()
-        if (k + 2) * beta <= MATERIALIZE_CAP_BITS:
-            q = Fraction(2) ** self.rational_part.numerator
-            for p, m in self.log_terms:
-                q *= Fraction(p) ** (m * beta)
-            return nth_root_floor_fraction(q, beta)
-        if beta == 1:
-            raise SizeCapError(
-                f"integer part of 2**({self}) is too large to materialize"
-            )
-        return floor_pow2_bracketed(k, self._compare_to_log2)
+        return materialize_or_bracket(
+            self.floor(), self.rational_part, self.log_terms, self.bounds, self.precision_bits, self
+        )
 
     def shifted(self, delta: Rational) -> "DegreeValue":
         delta = _checked_rational(delta, "shift")
@@ -285,12 +249,6 @@ class ArakelovDivisor:
                 terms.append((p, m))
         return DegreeValue(rational, tuple(terms), precision_bits)
 
-    def reduce_to_archimedean(self) -> "DegreeValue":
-        """Both dimensions depend only on the degree, so any divisor may
-        be traded for the same degree concentrated at the archimedean
-        place; this returns that degree."""
-        return self.deg2()
-
 
 @dataclass(frozen=True)
 class EulerCharacteristic:
@@ -347,6 +305,7 @@ def rr_scan(lo, hi, step) -> ScanReport:
     """Check the identity on the rational grid lo, lo+step, ..., plus every
     integer in range and probes just left and right of each integer
     (the function is a step function; jumps happen exactly at integers).
+    Raises SizeCapError when that is more than MAX_SCAN_POINTS points.
     """
     lo = _checked_rational(lo, "lo")
     hi = _checked_rational(hi, "hi")
@@ -355,6 +314,9 @@ def rr_scan(lo, hi, step) -> ScanReport:
         raise DomainError("scan range is empty")
     if step <= 0:
         raise DomainError("step must be positive")
+    integers = max(0, math.floor(hi) - math.ceil(lo) + 1)
+    if math.floor((hi - lo) / step) + 1 + 3 * integers > MAX_SCAN_POINTS:
+        raise SizeCapError(f"scan capped at {MAX_SCAN_POINTS} grid points and integer probes")
     points = set()
     x = lo
     while x <= hi:
@@ -393,13 +355,16 @@ class StepFunctionSeries:
 
 def figure_data(lo, hi, samples_per_unit: int = 16) -> StepFunctionSeries:
     """Sample chi - 1 on [lo, hi] and list the jump points (the integers
-    strictly above lo and at most hi, since the step is right-closed)."""
+    strictly above lo and at most hi, since the step is right-closed).
+    Raises SizeCapError when that is more than MAX_FIGURE_SAMPLES samples."""
     lo = _checked_rational(lo, "lo")
     hi = _checked_rational(hi, "hi")
     if not lo < hi:
         raise DomainError("figure range needs lo < hi")
     if not isinstance(samples_per_unit, int) or samples_per_unit < 1:
         raise DomainError("samples_per_unit must be a positive int")
+    if math.floor((hi - lo) * samples_per_unit) + 1 > MAX_FIGURE_SAMPLES:
+        raise SizeCapError(f"figure capped at {MAX_FIGURE_SAMPLES} samples")
     step = Fraction(1, samples_per_unit)
     samples = []
     x = lo

@@ -10,25 +10,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
-from .errors import PrecisionError, SizeCapError
+from .errors import DomainError, PrecisionError, SizeCapError
 
-
-#: Below this many bits per root index a Newton loop from a power-of-two
-#: start is already cheap, so the start is not seeded recursively.
-_SEED_BITS_PER_INDEX = 64
+#: An enclosure of a real number: bits -> (lo, hi), about 2**-bits wide.
+Enclosure = Callable[[int], tuple[Fraction, Fraction]]
 
 
 def nth_root_floor(n: int, k: int) -> int:
     """Largest integer t with t**k <= n, for n >= 0, k >= 1.
 
-    Square roots come from ``math.isqrt``.  Other roots of wide n use
-    precision doubling: the root of n with its low k*s bits dropped,
-    plus one and shifted left by s, overestimates the root with about
-    half its bits right, so a single full-width Newton step lands on
-    it or one above.  Narrow n iterate Newton from a power of two.
-    Either way the closing loops certify t**k <= n < (t+1)**k.
+    Square roots come from ``math.isqrt``.  Other roots use precision
+    doubling: the root of n with its low k*s bits dropped, plus one and
+    shifted left by s, overestimates the root with about half its bits
+    right, so a single full-width Newton step lands on it or one above,
+    and the closing loops certify t**k <= n < (t+1)**k.  Roots too
+    narrow to split that way (a few bits more than log2(k)) are bisected.
     """
     if k < 1:
         raise ValueError("root index must be >= 1")
@@ -39,21 +37,24 @@ def nth_root_floor(n: int, k: int) -> int:
     if k == 2:
         return math.isqrt(n)
     bits = n.bit_length()
-    if bits < _SEED_BITS_PER_INDEX * k:
-        # Newton iteration from an overestimate; monotonically decreasing.
-        x = 1 << ((bits - 1) // k + 1)
-        while True:
-            y = ((k - 1) * x + n // x ** (k - 1)) // k
-            if y >= x:
-                break
-            x = y
-    else:
-        # Newton from x = t(1 + e) overshoots by at most (k-1)/2 * t * e**2,
-        # with t*e <= 2**s; the guard bits keep that below one half.
-        guard = (k - 1).bit_length() + 1
-        s = (bits // k - guard) // 2
-        x = (nth_root_floor(n >> (k * s), k) + 1) << s
-        x = ((k - 1) * x + n // x ** (k - 1)) // k
+    # Newton from x = t(1 + e) overshoots by at most (k-1)/2 * t * e**2,
+    # with t*e <= 2**s; the guard bits keep that below one half.
+    guard = (k - 1).bit_length() + 1
+    s = (bits // k - guard) // 2
+    if s < 1:
+        # Bisect, keeping lo**k <= n < hi**k: Newton from a power of two
+        # would gain only a factor of about (k - 1)/k per step.
+        e = (bits - 1) // k
+        lo, hi = 1 << e, 1 << (e + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if mid ** k <= n:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+    x = (nth_root_floor(n >> (k * s), k) + 1) << s
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
     while x ** k > n:
         x -= 1
     while (x + 1) ** k <= n:
@@ -121,6 +122,58 @@ def log2_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(low, 1 << bits), Fraction(low + 2, 1 << bits)
 
 
+#: Precision, in bits, at which every refinement starts.
+REFINE_START_BITS = 32
+
+
+def refine(step: Callable[[int], Optional[int]], cap: int, describe: Callable[[], str]) -> int:
+    """The first answer of step(bits) at bits = 32, 64, 128, ..., up to cap.
+
+    ``step`` returns None while enclosures about 2**-bits wide do not
+    decide.  Past ``cap`` this raises PrecisionError naming the question
+    as ``describe()``, so that text is built only then.
+    """
+    bits = REFINE_START_BITS
+    while (answer := step(bits)) is None:
+        if bits >= cap:
+            raise PrecisionError(f"{describe()} within {cap} bits")
+        bits = min(2 * bits, cap)
+    return answer
+
+
+#: str() refuses ints from here on, which have more than 4300 digits
+#: (CPython's default int_max_str_digits).
+STR_LIMIT = 10 ** 4300
+
+
+def abbreviated(n: int) -> str:
+    """str(n) for 0 <= n < STR_LIMIT; above it, n's leading digits, digit
+    count and bit length."""
+    if n < STR_LIMIT:
+        return str(n)
+    bits = n.bit_length()
+    # 3010299/10**7 < log10(2), so the quotient keeps at least 20 digits.
+    dropped = (bits - 1) * 3010299 // 10 ** 7 - 20
+    lead = str(n // 10 ** dropped)
+    return f"{lead[:20]}... ({len(lead) + dropped} digits, {bits} bits)"
+
+
+def compare_to_log2(bounds: Enclosure, t: int, cap: int, name) -> int:
+    """Sign of x - log2(t) for integer t >= 1, where bounds(bits) encloses x
+    (a rational x is the enclosure (x, x)).  A tie is decided only when
+    both sides are exact; a PrecisionError names x as ``name``."""
+
+    def step(bits: int) -> Optional[int]:
+        (lo, hi), (tlo, thi) = bounds(bits), log2_bounds(t, bits)
+        if lo > thi:
+            return 1
+        if hi < tlo:
+            return -1
+        return 0 if lo == hi and tlo == thi else None
+
+    return refine(step, cap, lambda: f"cannot separate {name} from log2({abbreviated(t)})")
+
+
 #: Largest intermediate size (in bits, roughly) floor_pow2_rational will
 #: materialize before switching to log-comparison bracketing.
 MATERIALIZE_CAP_BITS = 1 << 20
@@ -145,55 +198,36 @@ def floor_pow2_bracketed(k: int, compare_to_log2: Callable[[int], int]) -> int:
     return lo
 
 
-def _compare_rational_to_log2(q: Fraction, t: int, bits_cap: int) -> int:
-    """Sign of q - log2(t) for rational q and integer t >= 1."""
-    if t == 1:
-        return (q > 0) - (q < 0)
-    bits = 32
-    while True:
-        lo, hi = log2_bounds(t, bits)
-        if q > hi:
-            return 1
-        if q < lo:
-            return -1
-        if lo == hi:
-            # t is a power of two, log2(t) exact, and q equals it.
-            return 0
-        if bits >= bits_cap:
-            raise PrecisionError(
-                f"cannot order {q} against log2({t}) within {bits_cap} bits"
-            )
-        bits = min(2 * bits, bits_cap)
-
-
-def floor_pow2_rational(
-    q: Fraction,
-    materialize_cap: int = MATERIALIZE_CAP_BITS,
-    compare_bits_cap: int = COMPARE_BITS_CAP,
+def materialize_or_bracket(
+    k: int, rational: Fraction, log_terms, bounds: Enclosure, cap: int, name
 ) -> int:
-    """Integer part of 2**q for rational q >= 0, decided exactly.
+    """Integer part of 2**x for x = rational + sum(m * log2(p)) over the
+    (p, m) in log_terms, where k = floor(x) >= 0 and bounds encloses x.
 
-    For moderate denominators this clears the denominator: floor(2**(a/b))
-    is the integer b-th root of 2**a.  When that intermediate would be
-    astronomically wide (huge denominators, e.g. high-precision rational
-    probes), the answer itself is still small, so it is bracketed by
-    binary search with rigorous log2 comparisons instead; 2**q is then
-    irrational (b does not divide a), so comparisons always resolve.
+    With rational = alpha/beta, that is the integer beta-th root of
+    2**alpha * prod(p**(m * beta)).  Past MATERIALIZE_CAP_BITS an integer
+    x is refused; any other x makes 2**x irrational and is bracketed by
+    log2 comparisons refined up to ``cap`` bits.  Errors name x as ``name``.
     """
+    alpha, beta = rational.numerator, rational.denominator
+    if (k + 2) * beta <= MATERIALIZE_CAP_BITS:
+        power = math.prod(
+            (Fraction(p) ** (m * beta) for p, m in log_terms), start=Fraction(2) ** alpha
+        )
+        return nth_root_floor_fraction(power, beta)
+    if beta == 1:
+        text = f"({name})" if log_terms else abbreviated(alpha)
+        raise SizeCapError(f"integer part of 2**{text} is too large to materialize")
+    return floor_pow2_bracketed(k, lambda t: compare_to_log2(bounds, t, cap, name))
+
+
+def floor_pow2_rational(q: Fraction) -> int:
+    """Integer part of 2**q for rational q >= 0 (DomainError below 0)."""
     q = Fraction(q)
     if q < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise DomainError("exponent must be nonnegative")
     k = q.numerator // q.denominator
-    beta = q.denominator
-    if (k + 2) * beta <= materialize_cap:
-        return nth_root_floor_fraction(Fraction(2) ** q.numerator, beta)
-    if beta == 1:
-        raise SizeCapError(
-            f"integer part of 2**{q} is too large to materialize"
-        )
-    return floor_pow2_bracketed(
-        k, lambda t: _compare_rational_to_log2(q, t, compare_bits_cap)
-    )
+    return materialize_or_bracket(k, q, (), lambda bits: (q, q), COMPARE_BITS_CAP, q)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -349,9 +349,10 @@ def min_generating_set(a: int, options: Optional[SearchOptions] = None) -> MinSe
     by level starting at the counting lower bound; within a level,
     combinations are scanned in lexicographic order of the sorted
     universe, so the reported witness is deterministic (and identical for
-    any parallel width).  The balanced-endpoint prune is a heuristic: a
-    pruned level that yields nothing is rescanned unpruned before the
-    search moves up a level.
+    any parallel width).  The balanced-endpoint prune skips only
+    candidates that cannot generate: realizing a needs a positive part
+    summing to at least a, and realizing -a a negative part summing to
+    at most -a.
     """
     opts = options or SearchOptions()
     a = _checked_bound(a)
@@ -368,10 +369,9 @@ def min_generating_set(a: int, options: Optional[SearchOptions] = None) -> MinSe
             f"max_cardinality {stop} is below the counting lower bound {start}"
         )
     for size in range(start, stop + 1):
-        prune = opts.prune and a != 2
-        found = _scan_level(universe, a, size, prune, opts.parallel_width, opts.report_all_minima)
-        if not found and prune:
-            found = _scan_level(universe, a, size, False, opts.parallel_width, opts.report_all_minima)
+        found = _scan_level(
+            universe, a, size, opts.prune, opts.parallel_width, opts.report_all_minima
+        )
         if found:
             witness = found[0]
             certificate = generates(witness, a)
@@ -383,19 +383,6 @@ def min_generating_set(a: int, options: Optional[SearchOptions] = None) -> MinSe
                 all_minima=tuple(found) if opts.report_all_minima else None,
             )
     raise SizeCapError(f"no generating set with at most {stop} elements")
-
-
-def floor_pow2(deg2: Fraction) -> int:
-    """Integer part of 2**deg2 for rational deg2 >= 0, decided exactly.
-
-    Clears the denominator -- floor(2**(p/q)) is the integer q-th root of
-    2**p -- with a log-comparison bracketing fallback for denominators
-    too large to materialize that way.
-    """
-    q = Fraction(deg2)
-    if q < 0:
-        raise DomainError("floor_pow2 expects a nonnegative exponent")
-    return floor_pow2_rational(q)
 
 
 def dim_h0(deg2) -> int:
@@ -411,7 +398,7 @@ def dim_h0(deg2) -> int:
         x = Fraction(deg2)
         if x < 0:
             return 0
-        return floor_pow2(x).bit_length() + 1
+        return floor_pow2_rational(x).bit_length() + 1
     if deg2.sign() < 0:
         return 0
     return deg2.floor_pow2().bit_length() + 1

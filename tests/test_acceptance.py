@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from arakelov_rr import circle_h1, divisor, gamma, interval_h0, negabinary
+from arakelov_rr import circle_h1, divisor, exact, gamma, interval_h0, negabinary
 from arakelov_rr.gamma import PointedMap, PointedVector, SubsetSpec
 
 
@@ -486,13 +486,13 @@ def test_criterion_9_dimension_matches_scaled_lattice(capsys):
         for r in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
             u = k + r
             d = divisor.ArakelovDivisor.from_places({2: k}, arch=r)
-            deg = d.reduce_to_archimedean()
+            deg = d.deg2()
             if not (deg.is_rational and deg.rational_part == u):
                 ok = False
                 detail = f"degree of 2^{k} shifted by {r} reduced to {deg}, want {u}"
                 break
             h0 = divisor.euler_characteristic(d).h0
-            a = interval_h0.floor_pow2(u)
+            a = exact.floor_pow2_rational(u)
             if a not in search_cache:
                 search_cache[a] = interval_h0.min_generating_set(a).size
             if h0 != search_cache[a] or h0 != interval_h0.dim_h0(u):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import jsonschema
 import pytest
@@ -62,6 +63,14 @@ def test_degree_magnitude_guard(capsys):
     code, _, err = run(["dim-h0", "2000000"], capsys)
     assert code == cli.EXIT_USAGE
     assert "magnitude" in err
+
+
+def test_dim_h0_refuses_bounds_too_long_to_print(capsys):
+    # floor(2**15000) has 4516 digits, more than str() converts
+    code, out, err = run(["dim-h0", "15000"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: integer part of 2**15000 is too long to print in full\n"
 
 
 def test_malformed_degree(capsys):
@@ -125,6 +134,26 @@ def test_euler_precision_exhaustion_exit_code(capsys):
     assert "precision" in err.lower()
 
 
+def test_euler_precision_exhaustion_on_a_huge_place(capsys):
+    # the bracketing compares against log2(t) for a 633,986-bit t, which
+    # the message abbreviates rather than let str() fail on it
+    code, out, err = run(["euler", "--arch", "1/3", "--place", "3:400000"], capsys)
+    assert code == cli.EXIT_PRECISION
+    assert out == ""
+    assert err.startswith("precision exhausted: cannot separate 1/3 + 400000*log2(3) from")
+    assert "(190849 digits, 633986 bits)" in err
+
+
+def test_euler_narrow_root_of_huge_index(capsys):
+    # 2**(1/32768) * 3**13 is the 32768-th root of a 675,000-bit number
+    t0 = time.perf_counter()
+    code, out, _ = run(["euler", "--arch", "1/32768", "--place", "3:13"], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == cli.EXIT_OK
+    assert "dim_S H0 = 22" in out
+    assert elapsed < 5.0  # about 0.5 s; the Newton loop it replaced ran for minutes
+
+
 def test_euler_high_precision_resolves(capsys):
     lo, _ = log2_bounds(3, 400)
     code, out, _ = run(
@@ -154,6 +183,18 @@ def test_scan_json_row_count(capsys):
     assert payload["passed"] is True
     # grid -1, 0, 1 plus probes -1+p, 0-p, 0+p, 1-p
     assert payload["points"] == 7
+
+
+def test_scan_and_figure_are_capped(capsys):
+    for argv in (
+        ["scan", "-100000", "100000", "--step", "1/100"],
+        ["scan", "-2000000", "0"],
+        ["figure", "-100000", "100000", "--samples-per-unit", "1000"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_figure_csv(capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from arakelov_rr import divisor as dv
 from arakelov_rr.circle_h1 import dim_h1
-from arakelov_rr.errors import DomainError, FormulaViolation, PrecisionError
+from arakelov_rr.errors import DomainError, FormulaViolation, PrecisionError, SizeCapError
 from arakelov_rr.exact import log2_bounds
 from arakelov_rr.interval_h0 import dim_h0
 
@@ -161,6 +161,17 @@ def test_precision_exhaustion_raises():
         value.sign()
 
 
+def test_precision_exhaustion_message_abbreviates_huge_ints():
+    # bracketing 2**(1/3 + 400000*log2(3)) compares against log2(t) for a
+    # 633,986-bit t, which str() refuses to print in full
+    value = dv.DegreeValue(Fraction(1, 3), ((3, 400000),))
+    with pytest.raises(PrecisionError) as info:
+        value.floor_pow2()
+    message = str(info.value)
+    assert message.startswith("cannot separate 1/3 + 400000*log2(3) from log2(")
+    assert message.endswith("... (190849 digits, 633986 bits)) within 256 bits")
+
+
 def test_shifted():
     value = dv.DegreeValue(Fraction(1, 2), ((3, 1),))
     moved = value.shifted(Fraction(3, 2))
@@ -234,12 +245,12 @@ def test_zero_and_canonical():
     assert canonical.deg2().compare(-2) == 0
 
 
-def test_reduce_to_archimedean_keeps_degree():
+def test_deg2_moves_the_place_two_into_the_rational_part():
     d = dv.ArakelovDivisor.from_places([(2, 1), (5, 1)], Fraction(1, 4))
-    reduced = d.reduce_to_archimedean()
-    assert reduced == d.deg2()
-    assert reduced.rational_part == Fraction(5, 4)
-    assert reduced.log_terms == ((5, 1),)
+    deg = d.deg2()
+    assert deg == dv.DegreeValue(Fraction(5, 4), ((5, 1),))
+    assert deg.rational_part == Fraction(5, 4)
+    assert deg.log_terms == ((5, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +325,15 @@ def test_rr_scan_single_point():
     assert report.rows[0].deg2 == Fraction(1, 3)
 
 
+def test_rr_scan_point_cap():
+    # at step 1 each integer costs a grid point and three probes
+    assert dv.rr_scan(-2499, 0, 1).passed
+    with pytest.raises(SizeCapError):
+        dv.rr_scan(-2500, 0, 1)
+    with pytest.raises(SizeCapError):
+        dv.rr_scan(-100000, 100000, Fraction(1, 100))
+
+
 def test_rr_scan_argument_errors():
     with pytest.raises(DomainError):
         dv.rr_scan(1, 0, 1)
@@ -338,6 +358,14 @@ def test_figure_data_jumps_and_samples():
     # values never decrease left to right
     values = [v for _, v in series.samples]
     assert values == sorted(values)
+
+
+def test_figure_data_sample_cap():
+    # 0, 1, ..., 100000 is one sample more than the cap
+    with pytest.raises(SizeCapError):
+        dv.figure_data(0, dv.MAX_FIGURE_SAMPLES, samples_per_unit=1)
+    with pytest.raises(SizeCapError):
+        dv.figure_data(-100000, 100000, samples_per_unit=1000)
 
 
 def test_figure_data_range_validation():

@@ -7,6 +7,7 @@ widths.  No binary floating point anywhere.
 """
 
 import decimal
+import time
 from fractions import Fraction
 
 import hypothesis
@@ -14,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 
 from arakelov_rr import exact
-from arakelov_rr.errors import PrecisionError, SizeCapError
+from arakelov_rr.errors import DomainError, PrecisionError, SizeCapError
 
 
 @hypothesis.given(st.integers(0, 10 ** 30), st.integers(1, 12))
@@ -50,6 +51,17 @@ def test_nth_root_floor_exact_powers():
             assert exact.nth_root_floor(power - 1, n) == base - 1
             assert exact.nth_root_floor(power, n) == base
             assert exact.nth_root_floor(power + 1, n) == base
+
+
+def test_nth_root_floor_narrow_root_of_huge_index_is_fast():
+    # the 32768-th root of 2 * 3**(13 * 32768), a 675,000-bit number whose
+    # root has 21 bits: Newton from a power of two took minutes here
+    n = 2 * 3 ** (13 * 32768)
+    t0 = time.perf_counter()
+    r = exact.nth_root_floor(n, 32768)
+    elapsed = time.perf_counter() - t0
+    assert r ** 32768 <= n < (r + 1) ** 32768
+    assert elapsed < 5.0  # about 0.4 s; the Newton loop it replaced ran for minutes
 
 
 @hypothesis.given(
@@ -197,6 +209,75 @@ def test_is_prime_fermat_liars():
         assert exact.is_prime(p)
 
 
+# ---------------------------------------------------------------------------
+# the refinement primitive and comparisons against log2
+# ---------------------------------------------------------------------------
+
+
+def test_refine_doubles_from_32_bits_to_the_cap():
+    seen = []
+
+    def undecided(bits):
+        seen.append(bits)
+        return None
+
+    described = []
+
+    def describe():
+        described.append(True)
+        return "still undecided"
+
+    with pytest.raises(PrecisionError, match="still undecided"):
+        exact.refine(undecided, 200, describe)
+    assert seen == [32, 64, 128, 200]
+    assert described == [True]
+
+
+def test_refine_returns_the_first_decision_and_builds_no_message():
+    def describe():
+        raise AssertionError("the message is built only on failure")
+
+    assert exact.refine(lambda bits: 0 if bits >= 128 else None, 256, describe) == 0
+    assert exact.refine(lambda bits: -1, 32, describe) == -1
+
+
+def test_compare_to_log2_on_rationals():
+    def sign(q, t):
+        return exact.compare_to_log2(lambda bits: (q, q), t, exact.COMPARE_BITS_CAP, q)
+
+    # log2(3) = 1.58496...
+    assert sign(Fraction(8, 5), 3) == 1
+    assert sign(Fraction(19, 12), 3) == -1
+    # log2 of 1 and of other powers of two is exact, so ties are decided
+    assert sign(Fraction(0), 1) == 0
+    assert sign(Fraction(-1, 3), 1) == -1
+    assert sign(Fraction(5), 32) == 0
+    assert sign(Fraction(5), 33) == -1
+
+
+def test_compare_to_log2_exhausts_the_cap_on_a_true_tie():
+    def log2_3(bits):
+        return exact.log2_bounds(3, bits)
+
+    with pytest.raises(PrecisionError, match=r"^cannot separate x from log2\(3\) within 128 bits$"):
+        exact.compare_to_log2(log2_3, 3, 128, "x")
+
+
+def test_abbreviated():
+    assert exact.abbreviated(12345) == "12345"
+    assert exact.abbreviated(exact.STR_LIMIT - 1) == "9" * 4300
+    big = 3 ** 400000
+    assert exact.abbreviated(big) == (
+        f"{str(big // 10 ** 190829)}... (190849 digits, 633986 bits)"
+    )
+    assert exact.abbreviated(10 ** 5000) == "1" + "0" * 19 + "... (5001 digits, 16610 bits)"
+
+
+# ---------------------------------------------------------------------------
+# the integer part of 2**q
+# ---------------------------------------------------------------------------
+
+
 @hypothesis.given(st.fractions(min_value=0, max_value=80, max_denominator=8))
 def test_floor_pow2_rational_inequality(q):
     t = exact.floor_pow2_rational(q)
@@ -204,19 +285,25 @@ def test_floor_pow2_rational_inequality(q):
     assert (t + 1) ** q.denominator > 2 ** q.numerator
 
 
-def test_floor_pow2_rational_bracketing_matches_materialized():
+def test_floor_pow2_rational_bracketing_matches_materialized(monkeypatch):
     # same value through both the root path and the forced bracket path
-    for q in (Fraction(15, 4), Fraction(47, 7), Fraction(100, 9)):
-        direct = exact.floor_pow2_rational(q)
-        bracketed = exact.floor_pow2_rational(q, materialize_cap=0)
-        assert direct == bracketed
+    qs = (Fraction(15, 4), Fraction(47, 7), Fraction(100, 9))
+    direct = [exact.floor_pow2_rational(q) for q in qs]
+    monkeypatch.setattr(exact, "MATERIALIZE_CAP_BITS", 0)
+    monkeypatch.setattr(exact, "nth_root_floor_fraction", None)  # no root taken
+    assert [exact.floor_pow2_rational(q) for q in qs] == direct
 
 
 def test_floor_pow2_rational_huge_denominator():
-    q = Fraction(9) + Fraction(1, 2 ** 40)
-    assert exact.floor_pow2_rational(q) == 512
-    q = Fraction(10) - Fraction(1, 5 ** 30)
-    assert exact.floor_pow2_rational(q) == 1023
+    # denominators too wide to clear, so the answer is bracketed
+    cases = {
+        Fraction(9) + Fraction(1, 2 ** 40): 512,
+        Fraction(10) - Fraction(1, 5 ** 30): 1023,
+        Fraction(5) + Fraction(1, 2 ** 30): 32,
+        Fraction(7) - Fraction(1, 3 ** 40): 127,
+    }
+    for q, expected in cases.items():
+        assert exact.floor_pow2_rational(q) == expected
 
 
 def test_floor_pow2_rational_huge_integer_is_capped():
@@ -225,5 +312,6 @@ def test_floor_pow2_rational_huge_integer_is_capped():
 
 
 def test_floor_pow2_rational_rejects_negative():
-    with pytest.raises(ValueError):
-        exact.floor_pow2_rational(Fraction(-1, 3))
+    for q in (Fraction(-1, 3), Fraction(-1, 2)):
+        with pytest.raises(DomainError):
+            exact.floor_pow2_rational(q)

@@ -1,5 +1,6 @@
 """Generating sets of integer intervals: DP realizability vs. brute force,
-the tabulated minimal sets, the general construction, and floor(2**x)."""
+the tabulated minimal sets, the general construction, and the dimension
+formula."""
 
 import itertools
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from arakelov_rr import interval_h0
 from arakelov_rr.errors import DomainError, OutOfRangeError, SizeCapError
+from arakelov_rr.exact import floor_pow2_rational
 
 
 # ---------------------------------------------------------------------------
@@ -248,29 +250,11 @@ def test_explicit_construction_matches_table_below_16():
 
 
 # ---------------------------------------------------------------------------
-# floor(2**x) and the dimension formula
+# the dimension formula
 # ---------------------------------------------------------------------------
 
 
 nonneg_rationals = st.fractions(min_value=0, max_value=60, max_denominator=6)
-
-
-@hypothesis.given(nonneg_rationals)
-def test_floor_pow2_defining_inequality(q):
-    t = interval_h0.floor_pow2(q)
-    n, d = q.numerator, q.denominator
-    # t <= 2**(n/d) < t + 1, cleared of the root
-    assert t ** d <= 2 ** n < (t + 1) ** d
-
-
-def test_floor_pow2_uses_bracketing_when_roots_explode():
-    assert interval_h0.floor_pow2(Fraction(5) + Fraction(1, 2 ** 30)) == 32
-    assert interval_h0.floor_pow2(Fraction(7) - Fraction(1, 3 ** 40)) == 127
-
-
-def test_floor_pow2_rejects_negative():
-    with pytest.raises(DomainError):
-        interval_h0.floor_pow2(Fraction(-1, 2))
 
 
 def test_dim_h0_spot_values():
@@ -290,7 +274,7 @@ def test_dim_h0_closed_form(q):
 @hypothesis.given(nonneg_rationals)
 def test_dim_h0_counts_via_generating_set(q):
     # the dimension is the bit length of twice the lattice point count bound
-    a = interval_h0.floor_pow2(q)
+    a = floor_pow2_rational(q)
     assert interval_h0.dim_h0(q) == (2 * a).bit_length()
 
 
