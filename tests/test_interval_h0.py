@@ -1,6 +1,5 @@
 """Generating sets of integer intervals: DP realizability vs. brute force,
-the tabulated minimal sets, the general construction, and the dimension
-formula."""
+the tabulated minimal sets, the general construction, and floor(2**x)."""
 
 import itertools
 import os
@@ -250,11 +249,29 @@ def test_explicit_construction_matches_table_below_16():
 
 
 # ---------------------------------------------------------------------------
-# the dimension formula
+# floor(2**x) and the dimension formula
 # ---------------------------------------------------------------------------
 
 
 nonneg_rationals = st.fractions(min_value=0, max_value=60, max_denominator=6)
+
+
+@hypothesis.given(nonneg_rationals)
+def test_floor_pow2_defining_inequality(q):
+    t = floor_pow2_rational(q)
+    n, d = q.numerator, q.denominator
+    # t <= 2**(n/d) < t + 1, cleared of the root
+    assert t ** d <= 2 ** n < (t + 1) ** d
+
+
+def test_floor_pow2_uses_bracketing_when_roots_explode():
+    assert floor_pow2_rational(Fraction(5) + Fraction(1, 2 ** 30)) == 32
+    assert floor_pow2_rational(Fraction(7) - Fraction(1, 3 ** 40)) == 127
+
+
+def test_floor_pow2_rejects_negative():
+    with pytest.raises(DomainError):
+        floor_pow2_rational(Fraction(-1, 2))
 
 
 def test_dim_h0_spot_values():
