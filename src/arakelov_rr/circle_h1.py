@@ -15,18 +15,28 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, OutOfRangeError, SizeCapError
-from .gamma import EMPTY_SUM
 
 #: Cap on exhaustive subset-sum enumeration (2**m sums).
 SUBSET_SUM_CAP = 24
 
 
-def circle_point(value) -> Fraction:
-    """Reduce an exact rational to its representative in [0, 1)."""
+def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise DomainError("circle points must be exact rationals, not floats")
-    q = Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def circle_point(value) -> Fraction:
+    """Reduce an exact rational to its representative in [0, 1)."""
+    q = _exact(value)
     return q - math.floor(q)
+
+
+def _on_common_denominator(points: Iterable) -> tuple[int, list[int]]:
+    """(d, ns): the points reduced mod 1 are exactly the n / d for n in ns."""
+    qs = [_exact(p) for p in points]
+    d = math.lcm(*(q.denominator for q in qs))
+    return d, [q.numerator * (d // q.denominator) % d for q in qs]
 
 
 def circle_distance(x, y) -> Fraction:
@@ -59,25 +69,24 @@ def subset_sums(points: Sequence[Fraction], cap: int = SUBSET_SUM_CAP) -> frozen
         raise SizeCapError(
             f"subset sums would enumerate 2**{len(points)}; cap is 2**{cap}"
         )
-    sums = {circle_point(EMPTY_SUM)}
-    for p in points:
-        p = circle_point(p)
-        sums |= {circle_point(s + p) for s in sums}
-    return frozenset(sums)
+    d, steps = _on_common_denominator(points)
+    sums = {0}
+    for step in steps:
+        sums |= {(s + step) % d for s in sums}
+    return frozenset(Fraction(s, d) for s in sums)
 
 
 def covering_radius(points: Iterable[Fraction]) -> Fraction:
     """Largest arc distance from any circle point to the set: half the
     widest cyclic gap between consecutive points."""
-    pts = sorted({circle_point(p) for p in points})
+    d, ns = _on_common_denominator(points)
+    pts = sorted(set(ns))
     if not pts:
         raise DomainError("covering radius of an empty set is infinite")
     if len(pts) == 1:
         return Fraction(1, 2)
-    widest = max(
-        [pts[i + 1] - pts[i] for i in range(len(pts) - 1)] + [1 - pts[-1] + pts[0]]
-    )
-    return widest / 2
+    widest = max([hi - lo for lo, hi in zip(pts, pts[1:])] + [d - pts[-1] + pts[0]])
+    return Fraction(widest, 2 * d)
 
 
 def min_separation(points: Iterable[Fraction]) -> Fraction:
@@ -163,13 +172,14 @@ def certify_family(m: int, cap: int = SUBSET_SUM_CAP) -> CircleCertificate:
     lam = Fraction(1, 2 ** (m + 1))
     family = f_generators(m)
     sums = subset_sums(family, cap)
-    grid = frozenset(Fraction(i, 2 ** m) for i in range(2 ** m))
+    # 2**m distinct points of [0, 1), all multiples of 2**-m, are the grid.
+    on_grid = all(2 ** m % s.denominator == 0 for s in sums)
     return CircleCertificate(
         m=m,
         lam=lam,
         family=family,
         sum_count=len(sums),
-        sums_are_dyadic_grid=sums == grid,
+        sums_are_dyadic_grid=on_grid and len(sums) == 2 ** m,
         covering=covering_radius(sums),
         separation=min_separation(family) if m >= 2 else None,
         cardinality_bound=lower_bound_cardinality(lam),

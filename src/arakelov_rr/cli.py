@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -36,7 +36,8 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
 #: Degree magnitudes beyond this would materialize astronomically wide
-#: integers in floor(2**deg2); refuse them at the door.
+#: integers in floor(2**deg2); refuse them at the door (for euler, the
+#: archimedean part and a bound on the places' log part).
 MAX_DEGREE_MAGNITUDE = 10 ** 6
 
 
@@ -44,7 +45,6 @@ MAX_DEGREE_MAGNITUDE = 10 ** 6
 class RunConfig:
     precision_bits: int = DEFAULT_PRECISION_BITS
     budget: int = interval_h0.DEFAULT_SEARCH_BUDGET
-    workers: int = 1
     output_format: str = "text"
 
 
@@ -97,6 +97,9 @@ def _print_json(args, obj) -> None:
 
 def cmd_dim_h0(args, config: RunConfig) -> int:
     deg = _check_degree_magnitude(args.deg2)
+    if math.floor(deg) >= exact.STR_LIMIT.bit_length():
+        # a >= 2**floor(deg) > STR_LIMIT: refuse before bracketing a.
+        raise SizeCapError(f"integer part of 2**{deg} is too long to print in full")
     dim = interval_h0.dim_h0(deg)
     obj: dict = {"deg2": str(deg), "dim_h0": dim}
     lines = [f"dim_S H0 = {dim}"]
@@ -165,6 +168,9 @@ def cmd_euler(args, config: RunConfig) -> int:
     divisor = ArakelovDivisor.from_places(
         tuple(args.place or ()), arch=args.arch if args.arch is not None else 0
     )
+    # p.bit_length() > log2(p) bounds the log part without refining it.
+    log_part = sum(abs(m) * p.bit_length() for p, m in divisor.finite_part)
+    _check_degree_magnitude(max(abs(divisor.archimedean_log2), log_part))
     result = euler_characteristic(divisor, precision_bits=config.precision_bits)
     deg = result.deg2
     obj = {
@@ -194,7 +200,6 @@ def cmd_euler(args, config: RunConfig) -> int:
 def cmd_min_gen(args, config: RunConfig) -> int:
     options = interval_h0.SearchOptions(
         max_cardinality=args.max_size,
-        parallel_width=config.workers,
         report_all_minima=args.all,
         budget=config.budget,
     )
@@ -319,7 +324,7 @@ def _suite_lines(suites) -> tuple[list[str], bool]:
 
 def cmd_verify_lemma33(args, config: RunConfig) -> int:
     suites = [
-        verify.verify_golden_table(budget=config.budget, workers=config.workers),
+        verify.verify_golden_table(budget=config.budget),
         verify.verify_construction(a_max=args.construction_max),
     ]
     lines, passed = _suite_lines(suites)
@@ -337,11 +342,7 @@ def cmd_verify_h1(args, config: RunConfig) -> int:
 
 
 def cmd_verify_all(args, config: RunConfig) -> int:
-    suites = verify.run_all(
-        budget=config.budget,
-        workers=config.workers,
-        inject_fault=args.inject_fault,
-    )
+    suites = verify.run_all(budget=config.budget, inject_fault=args.inject_fault)
     lines, passed = _suite_lines(suites)
     obj = {"passed": passed, "suites": [s.to_json_obj() for s in suites]}
     _render(args, config, obj, lines)
@@ -389,13 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=interval_h0.DEFAULT_SEARCH_BUDGET,
         metavar="A",
         help="largest interval bound for exhaustive minimal searches (default 31)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=max(1, os.cpu_count() or 1),
-        metavar="N",
-        help="parallel workers for the minimal search (results are order-independent)",
     )
     parser.add_argument(
         "--format",
@@ -513,12 +507,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision < 32:
         parser.error("--precision must be at least 32 bits")
-    if args.budget < 0 or args.workers < 1:
-        parser.error("--budget must be >= 0 and --workers >= 1")
+    if args.budget < 0:
+        parser.error("--budget must be >= 0")
     config = RunConfig(
         precision_bits=args.precision,
         budget=args.budget,
-        workers=args.workers,
         output_format=args.output_format,
     )
     try:

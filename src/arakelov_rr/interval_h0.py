@@ -8,13 +8,13 @@ of Z sums to at most a and the negative part to at least -a).
 This module provides the admissibility test, full-interval coverage via a
 bitmask dynamic program, lexicographically-least witnesses, an explicit
 size-(n+1) construction for every a with 2**(n-1) <= a < 2**n, a
-deterministic brute-force search for minimal generating sets, and the
+deterministic pruned depth-first search for minimal generating sets, and the
 resulting dimension formula for nonnegative degrees.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -61,24 +61,29 @@ def is_admissible(zs: Iterable[int], a: int) -> bool:
     return pos <= a and neg <= a
 
 
-def _reachable(generators: Sequence[int], a: int) -> dict[int, int]:
-    """Admissible (positive, negative) load pairs over subsets of generators.
+def _extend(states: dict[int, int], g: int, a: int, full: int) -> dict[int, int]:
+    """Admissible load pairs after offering one more generator g.
 
     Key: negative load q in 0..a.  Value: bitmask with bit p set when some
     subset has positive part p and negative part q.  Admissibility prunes
-    as it goes: loads above a are dropped.
+    as it goes: loads above a are dropped, positive ones by masking with
+    full = (1 << (a + 1)) - 1.  The input is left unchanged.
     """
+    if g > 0:
+        return {q: mask | ((mask << g) & full) for q, mask in states.items()}
+    out = dict(states)
+    for q, mask in states.items():
+        if q - g <= a:
+            out[q - g] = out.get(q - g, 0) | mask
+    return out
+
+
+def _reachable(generators: Sequence[int], a: int) -> dict[int, int]:
+    """Admissible load pairs over all subsets of generators (see _extend)."""
     full = (1 << (a + 1)) - 1
-    states: dict[int, int] = {0: 1}
+    states = {0: 1}
     for g in generators:
-        if g > 0:
-            for q in states:
-                states[q] |= (states[q] << g) & full
-        else:
-            h = -g
-            for q, mask in sorted(states.items(), reverse=True):
-                if q + h <= a:
-                    states[q + h] = states.get(q + h, 0) | mask
+        states = _extend(states, g, a, full)
     return states
 
 
@@ -110,24 +115,11 @@ def first_unrealizable(generators: Iterable[int], a: int) -> Optional[int]:
 
 def _suffix_states(gs: Sequence[int], a: int) -> list[dict[int, int]]:
     """suffix[i] = reachable loads using only generators gs[i:]."""
-    n = len(gs)
     full = (1 << (a + 1)) - 1
-    suffix: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    suffix[n] = {0: 1}
-    for i in range(n - 1, -1, -1):
-        g = gs[i]
-        prev = suffix[i + 1]
-        cur = dict(prev)
-        if g > 0:
-            for q, mask in prev.items():
-                cur[q] = cur[q] | ((mask << g) & full)
-        else:
-            h = -g
-            for q, mask in prev.items():
-                if q + h <= a:
-                    cur[q + h] = cur.get(q + h, 0) | mask
-        suffix[i] = cur
-    return suffix
+    suffix = [{0: 1}]
+    for g in reversed(gs):
+        suffix.append(_extend(suffix[-1], g, a, full))
+    return suffix[::-1]
 
 
 def _completable(states: dict[int, int], j: int, p: int, q: int, a: int) -> bool:
@@ -270,7 +262,6 @@ class SearchOptions:
     """Knobs for the exhaustive minimal-generating-set search."""
 
     max_cardinality: Optional[int] = None
-    parallel_width: int = 1
     report_all_minima: bool = False
     budget: int = DEFAULT_SEARCH_BUDGET
     prune: bool = True
@@ -284,75 +275,73 @@ class MinSearchResult:
     all_minima: Optional[tuple[tuple[int, ...], ...]] = None
 
 
-def _scan_shard(
-    universe: tuple[int, ...],
-    a: int,
-    size: int,
-    prune: bool,
-    collect_all: bool,
-    shard: int,
-    nshards: int,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Scan every nshards-th combination starting at `shard`, in lex order.
-
-    Returns (absolute_index, candidate) pairs; stops at the first hit
-    unless collecting all of them.
-    """
-    hits: list[tuple[int, tuple[int, ...]]] = []
-    combos = itertools.islice(
-        itertools.combinations(universe, size), shard, None, nshards
-    )
-    for local_index, cand in enumerate(combos):
-        if prune:
-            pos = sum(v for v in cand if v > 0)
-            neg = -sum(v for v in cand if v < 0)
-            if pos < a or neg < a:
-                continue
-        if covers(cand, a):
-            hits.append((shard + local_index * nshards, cand))
-            if not collect_all:
-                break
-    return hits
-
-
-def _scan_level(
-    universe: tuple[int, ...],
-    a: int,
-    size: int,
-    prune: bool,
-    workers: int,
-    collect_all: bool,
+def _search_level(
+    universe: tuple[int, ...], a: int, size: int, prune: bool, collect_all: bool
 ) -> list[tuple[int, ...]]:
-    if workers <= 1:
-        hits = _scan_shard(universe, a, size, prune, collect_all, 0, 1)
-    else:
-        # Imported here: the pool machinery (multiprocessing, logging, ...)
-        # costs about 1 MiB resident, and only this branch needs it.
-        from concurrent.futures import ProcessPoolExecutor
+    """Generating sets of the given size in itertools.combinations order of
+    the sorted universe: the first one, or all of them.
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _scan_shard, universe, a, size, prune, collect_all, w, workers
-                )
-                for w in range(workers)
-            ]
-            hits = sorted(h for f in futures for h in f.result())
-    candidates = [cand for _, cand in hits]
-    return candidates if collect_all else candidates[:1]
+    A depth-first search over prefixes, extending the load DP by one
+    generator per step.  With pruning, a prefix is cut when no completion
+    can generate: each pick at most doubles the c covered sums, so r picks
+    left need c << r >= 2a + 1; and realizing a and -a needs positive and
+    negative parts each summing to at least a, which the r largest values
+    still available must be able to supply.  The last pick g only adds
+    covered sums shifted by g, so it must carry the least covered sum to
+    or below the least missing one, and the greatest covered sum to or
+    above the greatest missing one.
+    """
+    n = len(universe)
+    loads = (1 << (a + 1)) - 1
+    targets = (1 << (2 * a + 1)) - 1
+    picked: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def visit(start: int, states: dict[int, int], pos: int, neg: int) -> None:
+        r = size - len(picked)
+        if r == 0:
+            if _coverage(states, a) == targets:
+                found.append(tuple(picked))
+            return
+        stop = n - r + 1
+        if prune:
+            covered = _coverage(states, a)
+            if covered.bit_count() << r < 2 * a + 1:
+                return
+            # The most the r picks left can add to each side: the k largest
+            # negatives left (start - a, start - a + 1, ...), the j largest
+            # positives (a, a - 1, ...).
+            k, j = min(r, max(0, a - start)), min(r, a)
+            if neg + k * (a - start) - k * (k - 1) // 2 < a or pos + j * a - j * (j - 1) // 2 < a:
+                return
+            missing = targets ^ covered
+            if r == 1 and missing:
+                # max(missing) - max(covered) <= g <= min(missing) - min(covered)
+                low = missing.bit_length() - covered.bit_length()
+                high = (missing & -missing).bit_length() - (covered & -covered).bit_length()
+                start = max(start, bisect_left(universe, low))
+                stop = bisect_right(universe, high)
+        for i in range(start, stop):
+            g = universe[i]
+            picked.append(g)
+            visit(i + 1, _extend(states, g, a, loads), pos + max(g, 0), neg + max(-g, 0))
+            picked.pop()
+            if found and not collect_all:
+                return
+
+    visit(0, {0: 1}, 0, 0)
+    return found
 
 
 def min_generating_set(a: int, options: Optional[SearchOptions] = None) -> MinSearchResult:
     """Smallest generating set of [-a, a], by cardinality then lex order.
 
-    Enumerates candidate subsets of the nonzero integers in [-a, a] level
+    Searches candidate subsets of the nonzero integers in [-a, a] level
     by level starting at the counting lower bound; within a level,
-    combinations are scanned in lexicographic order of the sorted
-    universe, so the reported witness is deterministic (and identical for
-    any parallel width).  The balanced-endpoint prune skips only
-    candidates that cannot generate: realizing a needs a positive part
-    summing to at least a, and realizing -a a negative part summing to
-    at most -a.
+    candidates come in lexicographic order of the sorted universe, so the
+    reported witness is deterministic.  Both prunes (see _search_level)
+    cut only prefixes that cannot generate; prune=False visits every
+    candidate and serves as the reference.
     """
     opts = options or SearchOptions()
     a = _checked_bound(a)
@@ -369,9 +358,7 @@ def min_generating_set(a: int, options: Optional[SearchOptions] = None) -> MinSe
             f"max_cardinality {stop} is below the counting lower bound {start}"
         )
     for size in range(start, stop + 1):
-        found = _scan_level(
-            universe, a, size, opts.prune, opts.parallel_width, opts.report_all_minima
-        )
+        found = _search_level(universe, a, size, opts.prune, opts.report_all_minima)
         if found:
             witness = found[0]
             certificate = generates(witness, a)

@@ -85,6 +85,19 @@ class NegabinaryWord:
         return decode(self)
 
 
+#: The little-endian digits of each byte value.
+_BYTE_DIGITS = [tuple((b >> i) & 1 for i in range(8)) for b in range(256)]
+
+
+def _odd_positions(n: int) -> int:
+    """Bit mask 0b...1010 of the odd digit positions below n.
+
+    A width-n word with bits w decodes to (w & even) - (w & odd), where
+    even = (1 << n) - 1 - odd, so the window of width n is [-odd, even].
+    """
+    return ((1 << (n & -2)) - 1) // 3 << 1
+
+
 def decode(word: NegabinaryWord) -> int:
     """Evaluate a word: sum of digits[i] * (-2)**i (Horner from the top)."""
     value = 0
@@ -96,22 +109,23 @@ def decode(word: NegabinaryWord) -> int:
 def encode(q: int, n: int) -> NegabinaryWord:
     """The unique width-n word for q; q must lie in delta_interval(n).
 
-    Division algorithm: peel the last digit as q mod 2, divide the rest
-    by -2, zero-pad to width n.
+    q + odd is a plain binary number: at an odd position i the digit d
+    weighs -d * 2**i, and adding 2**i makes that (1 - d) * 2**i.  Xoring
+    with odd flips those bits back, leaving the digits of q.
     """
-    window = delta_interval(n)
-    if q not in window:
-        raise OutOfRangeError(
-            f"{q} has no width-{n} word: representable range is [{window.lo}, {window.hi}]"
-        )
-    digits = []
-    while q:
-        r = q & 1
-        digits.append(r)
-        q = (q - r) // -2
-    assert len(digits) <= n
-    digits.extend([0] * (n - len(digits)))
-    return NegabinaryWord(tuple(digits))
+    if n < 1:
+        raise OutOfRangeError("width must be positive")
+    odd = _odd_positions(n)
+    lo, hi = -odd, (1 << n) - 1 - odd
+    if not lo <= q <= hi:
+        raise OutOfRangeError(f"{q} has no width-{n} word: representable range is [{lo}, {hi}]")
+    digits: list[int] = []
+    for byte in ((q + odd) ^ odd).to_bytes((n + 7) // 8, "little"):
+        digits += _BYTE_DIGITS[byte]
+    # The digits are 0/1 ints by construction: skip __post_init__.
+    word = object.__new__(NegabinaryWord)
+    object.__setattr__(word, "digits", tuple(digits[:n]))
+    return word
 
 
 @dataclass(frozen=True)
@@ -138,20 +152,13 @@ def verify_bijection(n: int, cap: int = VERIFY_CAP) -> BijectionReport:
     if n > cap:
         raise SizeCapError(f"verification decodes 2**{n} words; cap is 2**{cap}")
     window = delta_interval(n)
-    weights = [(-2) ** i for i in range(n)]
-    seen: dict[int, int] = {}
-    injective = True
-    for mask in range(1 << n):
-        value = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            value += weights[i]
-            m &= m - 1
-        if value in seen:
-            injective = False
-        else:
-            seen[value] = mask
+    size = 1 << n
+    odd = _odd_positions(n)
+    even = size - 1 - odd
+    values = [(mask & even) - (mask & odd) for mask in range(size)]
+    # Built from the top down, so each value keeps its least mask.
+    seen = dict(zip(reversed(values), range(size - 1, -1, -1)))
+    injective = len(seen) == size
     # 2**n distinct values inside a window of width 2**n fill it exactly.
     onto = (
         injective

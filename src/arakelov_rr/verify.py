@@ -149,9 +149,7 @@ def verify_negabinary(n_max: int = 16) -> SuiteResult:
 
 
 def verify_golden_table(
-    budget: int = interval_h0.DEFAULT_SEARCH_BUDGET,
-    workers: int = 1,
-    inject_fault: bool = False,
+    budget: int = interval_h0.DEFAULT_SEARCH_BUDGET, inject_fault: bool = False
 ) -> SuiteResult:
     """The tabulated sets generate with minimal size; endpoints balance
     except at the known a = 2 anomaly; brute force confirms minimality
@@ -186,8 +184,7 @@ def verify_golden_table(
             result.check(balanced, f"a={a}: endpoints do not balance to +-a")
         if a <= budget:
             found = interval_h0.min_generating_set(
-                a,
-                interval_h0.SearchOptions(parallel_width=workers, budget=budget),
+                a, interval_h0.SearchOptions(budget=budget)
             )
             result.check(
                 found.size == expected_size,
@@ -279,14 +276,13 @@ def verify_identity(lo=Fraction(-6), hi=Fraction(6), step=Fraction(1, 4)) -> Sui
 
 def run_all(
     budget: int = interval_h0.DEFAULT_SEARCH_BUDGET,
-    workers: int = 1,
     inject_fault: bool = False,
     construction_max: int = 512,
 ) -> list[SuiteResult]:
     return [
         verify_pointed_maps(),
         verify_negabinary(),
-        verify_golden_table(budget=budget, workers=workers, inject_fault=inject_fault),
+        verify_golden_table(budget=budget, inject_fault=inject_fault),
         verify_construction(a_max=construction_max),
         verify_circle(),
         verify_identity(),

@@ -1,6 +1,7 @@
 """Circle families: exact covering radii, separations, and certification."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import hypothesis
@@ -46,6 +47,24 @@ def oracle_separation(points):
     return min(
         oracle_distance(x, y) for x, y in itertools.combinations(pts, 2)
     )
+
+
+def fraction_subset_sums(points):
+    # subset_sums as it was before it moved to ints
+    sums = {circle_h1.circle_point(0)}
+    for p in points:
+        p = circle_h1.circle_point(p)
+        sums |= {circle_h1.circle_point(s + p) for s in sums}
+    return frozenset(sums)
+
+
+def fraction_covering_radius(points):
+    # covering_radius as it was before it moved to ints
+    pts = sorted({circle_h1.circle_point(p) for p in points})
+    if len(pts) == 1:
+        return Fraction(1, 2)
+    gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)] + [1 - pts[-1] + pts[0]]
+    return max(gaps) / 2
 
 
 circle_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64).map(
@@ -109,6 +128,36 @@ def test_f_generators_closed_form(m):
 @hypothesis.given(st.lists(circle_fractions, max_size=8))
 def test_subset_sums_match_bruteforce(points):
     assert circle_h1.subset_sums(points) == frozenset(oracle_subset_sums(points))
+
+
+def random_non_dyadic_family(rng):
+    points = []
+    for _ in range(rng.randint(1, 8)):
+        den = rng.choice((3, 5, 6, 12))
+        num = rng.randint(-3 * den, 3 * den)
+        points.append(rng.choice((Fraction(num, den), f"{num}/{den}", num // den)))
+    return points
+
+
+def test_int_kernels_match_fraction_implementations():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        points = random_non_dyadic_family(rng)
+        sums = circle_h1.subset_sums(points)
+        assert sums == fraction_subset_sums(points)
+        assert all(type(s) is Fraction for s in sums)
+        for family in (points, sums):
+            radius = circle_h1.covering_radius(family)
+            assert type(radius) is Fraction
+            assert radius == fraction_covering_radius(family)
+    assert circle_h1.subset_sums([]) == frozenset({Fraction(0)})
+
+
+def test_int_kernels_reject_floats():
+    with pytest.raises(DomainError):
+        circle_h1.subset_sums([Fraction(1, 3), 0.25])
+    with pytest.raises(DomainError):
+        circle_h1.covering_radius([0.5])
 
 
 def test_sums_fill_dyadic_grid():

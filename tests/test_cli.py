@@ -73,6 +73,22 @@ def test_dim_h0_refuses_bounds_too_long_to_print(capsys):
     assert err == "error: integer part of 2**15000 is too long to print in full\n"
 
 
+def test_dim_h0_refuses_huge_degrees_before_bracketing(capsys):
+    # floor(2**(1999999/2)) took more than 20 s to bracket before the
+    # length check saw it; 2**14285 > 10**4300 already rules it out
+    t0 = time.perf_counter()
+    code, out, err = run(["dim-h0", "1999999/2"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: integer part of 2**1999999/2 is too long to print in full\n"
+    code, _, err = run(["dim-h0", "14285"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: integer part of 2**14285 is too long to print in full\n"
+    code, out, _ = run(["dim-h0", "28569/2"], capsys)  # 14284.5, past 10**4300
+    assert code == cli.EXIT_USAGE
+
+
 def test_malformed_degree(capsys):
     code, _, err = run(["dim-h0", "seven"], capsys)
     assert code == cli.EXIT_USAGE
@@ -152,6 +168,24 @@ def test_euler_narrow_root_of_huge_index(capsys):
     assert code == cli.EXIT_OK
     assert "dim_S H0 = 22" in out
     assert elapsed < 5.0  # about 0.5 s; the Newton loop it replaced ran for minutes
+
+
+def test_euler_refuses_huge_archimedean_and_log_parts(capsys):
+    # this arch built 1 << k for k near 3.3e19 and died of MemoryError
+    code, out, err = run(["euler", "--arch", "100000000000000000001/3"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "magnitude" in err
+    code, _, err = run(["euler", "--arch", "-100000000000000000001/3"], capsys)
+    assert code == cli.EXIT_USAGE
+    # 700000 * bit_length(3) = 1400000 > 10**6
+    code, _, err = run(["euler", "--place", "3:700000"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "(got 1400000)" in err
+    # cancelling places count as merged: 3:-700000 and 3:700000 is zero
+    code, out, _ = run(["euler", "--place", "3:700000", "--place", "3:-700000"], capsys)
+    assert code == cli.EXIT_OK
+    assert "chi = 2" in out
 
 
 def test_euler_high_precision_resolves(capsys):
@@ -298,6 +332,19 @@ def test_min_gen_all_minima(capsys):
     assert [[-2, -1, 2], [-2, 1, 2]] == payload["all_minima"]
 
 
+def test_min_gen_at_the_default_budget_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(["min-gen", "31"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == cli.EXIT_OK
+    assert "{-31, 1, 2, 4, 8, 16}" in out
+    t0 = time.perf_counter()
+    code, out, _ = run(["min-gen", "--all", "12"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == cli.EXIT_OK
+    assert "all minima (22):" in out
+
+
 def test_min_gen_budget_guard(capsys):
     code, _, err = run(["--budget", "4", "min-gen", "5"], capsys)
     assert code == cli.EXIT_USAGE
@@ -361,11 +408,6 @@ def test_precision_floor_enforced(capsys):
     assert code == cli.EXIT_USAGE
 
 
-def test_workers_validation(capsys):
-    code, _, err = run(["--workers", "0", "min-gen", "3"], capsys)
-    assert code == cli.EXIT_USAGE
-
-
 def test_unknown_subcommand(capsys):
     code, _, err = run(["frobnicate"], capsys)
     assert code == cli.EXIT_USAGE
@@ -394,9 +436,9 @@ def test_repeated_calls_json_then_text(capsys):
 
 
 def test_repeated_calls_usage_error_then_valid(capsys):
-    code, _, err = run(["--workers", "0", "min-gen", "3"], capsys)
+    code, _, err = run(["--budget", "-1", "min-gen", "3"], capsys)
     assert code == cli.EXIT_USAGE
-    assert "--workers" in err
+    assert "--budget" in err
     code, out, err = run(["min-gen", "3"], capsys)
     assert code == cli.EXIT_OK
     assert "{-3, 1, 2}" in out

@@ -192,16 +192,41 @@ def test_min_search_budget_cap():
         interval_h0.min_generating_set(5, interval_h0.SearchOptions(budget=4))
 
 
-def test_min_search_parallel_matches_serial():
-    serial = interval_h0.min_generating_set(5)
-    sharded = interval_h0.min_generating_set(
-        5, interval_h0.SearchOptions(parallel_width=2)
-    )
-    assert (serial.size, serial.witness) == (sharded.size, sharded.witness)
+def oracle_minima(a):
+    """The search the DFS replaced: every combination of the sorted nonzero
+    integers in [-a, a], level by level from the counting bound, in
+    itertools order, kept when covers() accepts it."""
+    universe = [v for v in range(-a, a + 1) if v != 0]
+    for size in range(interval_h0.lower_bound_size(a), len(universe) + 1):
+        hits = [c for c in itertools.combinations(universe, size) if interval_h0.covers(c, a)]
+        if hits:
+            return hits
+
+
+def oracle_first_witness(a):
+    universe = [v for v in range(-a, a + 1) if v != 0]
+    for size in range(interval_h0.lower_bound_size(a), len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            if interval_h0.covers(combo, a):
+                return combo
+
+
+def test_min_search_first_witness_matches_combination_oracle():
+    for a in range(1, 15):
+        result = interval_h0.min_generating_set(a)
+        assert result.witness == oracle_first_witness(a), a
+        assert result.size == len(result.witness)
+
+
+def test_min_search_all_minima_match_combination_oracle():
+    options = interval_h0.SearchOptions(report_all_minima=True)
+    for a in range(1, 9):
+        expected = oracle_minima(a)
+        assert interval_h0.min_generating_set(a, options).all_minima == tuple(expected), a
 
 
 def test_package_import_leaves_the_process_pool_unloaded():
-    # only a sharded search needs multiprocessing; euler and the other
+    # nothing in the package needs multiprocessing; euler and the other
     # commands should not carry it
     package_dir = Path(interval_h0.__file__).resolve().parent.parent
     probe = (

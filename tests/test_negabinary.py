@@ -1,16 +1,29 @@
 """Base -2 digit words: the j sequence, windows, and the bijection."""
 
+import random
+
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from arakelov_rr import negabinary
+from arakelov_rr import negabinary, verify
 from arakelov_rr.errors import OutOfRangeError
 
 
 def oracle_decode(digits):
     # independent of the library's Horner loop
     return sum(d * (-2) ** i for i, d in enumerate(digits))
+
+
+def oracle_encode(q, n):
+    # the division algorithm: peel q mod 2, divide the rest by -2
+    digits = []
+    while q:
+        r = q & 1
+        digits.append(r)
+        q = (q - r) // -2
+    assert len(digits) <= n
+    return tuple(digits + [0] * (n - len(digits)))
 
 
 def oracle_j(n):
@@ -139,3 +152,33 @@ def test_verify_bijection_reports():
 def test_verify_bijection_cap():
     with pytest.raises(Exception):
         negabinary.verify_bijection(30, cap=20)
+
+
+@pytest.mark.parametrize("n", list(range(1, 21)) + [64, 129, 200])
+def test_encode_matches_division_algorithm(n):
+    window = negabinary.delta_interval(n)
+    if n <= 12:
+        qs = range(window.lo, window.hi + 1)
+    else:
+        rng = random.Random(n)
+        qs = [window.lo, window.lo + 1, window.hi - 1, window.hi, 0]
+        qs += [rng.randint(window.lo, window.hi) for _ in range(500)]
+    for q in qs:
+        word = negabinary.encode(q, n)
+        assert word.digits == oracle_encode(q, n)
+        assert word == negabinary.NegabinaryWord(oracle_encode(q, n))
+    for q in (window.lo - 1, window.hi + 1):
+        with pytest.raises(OutOfRangeError) as info:
+            negabinary.encode(q, n)
+        assert str(info.value) == (
+            f"{q} has no width-{n} word: representable range is [{window.lo}, {window.hi}]"
+        )
+
+
+def test_verify_negabinary_catches_a_broken_decode(monkeypatch):
+    assert verify.verify_negabinary(n_max=6).passed
+    monkeypatch.setattr(
+        negabinary, "decode", lambda word: oracle_decode(word.digits) + (word.width == 5)
+    )
+    result = verify.verify_negabinary(n_max=6)
+    assert result.failures == ["roundtrip failed for -10 at width 5"]
