@@ -63,11 +63,11 @@ def f_generators(m: int) -> tuple[Fraction, ...]:
     return tuple(points)
 
 
-def subset_sums(points: Sequence[Fraction], cap: int = SUBSET_SUM_CAP) -> frozenset:
+def subset_sums(points: Sequence[Fraction]) -> frozenset:
     """All subset sums of the family, reduced mod 1 (empty sum included)."""
-    if len(points) > cap:
+    if len(points) > SUBSET_SUM_CAP:
         raise SizeCapError(
-            f"subset sums would enumerate 2**{len(points)}; cap is 2**{cap}"
+            f"subset sums would enumerate 2**{len(points)}; cap is 2**{SUBSET_SUM_CAP}"
         )
     d, steps = _on_common_denominator(points)
     sums = {0}
@@ -113,7 +113,7 @@ def _checked_lambda(lam) -> Fraction:
     return lam
 
 
-def is_generating(points: Sequence[Fraction], lam, cap: int = SUBSET_SUM_CAP) -> bool:
+def is_generating(points: Sequence[Fraction], lam) -> bool:
     """Whether the family generates the lambda-coarsened circle.
 
     Two conditions: the family itself is faithfully separated (pairwise
@@ -125,7 +125,7 @@ def is_generating(points: Sequence[Fraction], lam, cap: int = SUBSET_SUM_CAP) ->
     pts = tuple(points)
     if len(pts) > 1 and min_separation(pts) <= lam:
         return False
-    return covering_radius(subset_sums(pts, cap)) <= lam
+    return covering_radius(subset_sums(pts)) <= lam
 
 
 def lower_bound_cardinality(lam) -> int:
@@ -163,7 +163,7 @@ class CircleCertificate:
         )
 
 
-def certify_family(m: int, cap: int = SUBSET_SUM_CAP) -> CircleCertificate:
+def certify_family(m: int) -> CircleCertificate:
     """Certify F(m) at lam = 2**-(m+1): its 2**m subset sums are exactly
     the multiples of 2**-m, the covering radius is exactly lam, and no
     smaller family could cover (counting bound)."""
@@ -171,7 +171,7 @@ def certify_family(m: int, cap: int = SUBSET_SUM_CAP) -> CircleCertificate:
         raise OutOfRangeError("m must be positive")
     lam = Fraction(1, 2 ** (m + 1))
     family = f_generators(m)
-    sums = subset_sums(family, cap)
+    sums = subset_sums(family)
     # 2**m distinct points of [0, 1), all multiples of 2**-m, are the grid.
     on_grid = all(2 ** m % s.denominator == 0 for s in sums)
     return CircleCertificate(
@@ -183,7 +183,7 @@ def certify_family(m: int, cap: int = SUBSET_SUM_CAP) -> CircleCertificate:
         covering=covering_radius(sums),
         separation=min_separation(family) if m >= 2 else None,
         cardinality_bound=lower_bound_cardinality(lam),
-        generating=is_generating(family, lam, cap),
+        generating=is_generating(family, lam),
     )
 
 

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error or an input
 past a size cap, 3 precision exhausted.  All numeric input is parsed
 exactly: integers, fractions like -5/2, and decimal strings like 2.5
 (never binary floats).
+
+Each command handler returns (payload, text lines, passed); main renders
+them once in the chosen format and maps passed to exit 0 or 1.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import circle_h1, exact, interval_h0, negabinary, verify
@@ -25,7 +27,7 @@ from .divisor import (
     figure_data,
     rr_scan,
     series_to_csv,
-    series_to_json,
+    series_to_json_obj,
     series_to_svg,
 )
 from .errors import DomainError, FormulaViolation, PrecisionError, SizeCapError
@@ -39,13 +41,6 @@ EXIT_PRECISION = 3
 #: integers in floor(2**deg2); refuse them at the door (for euler, the
 #: archimedean part and a bound on the places' log part).
 MAX_DEGREE_MAGNITUDE = 10 ** 6
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    budget: int = interval_h0.DEFAULT_SEARCH_BUDGET
-    output_format: str = "text"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -82,20 +77,7 @@ def _check_degree_magnitude(deg: Fraction) -> Fraction:
     return deg
 
 
-def _emit(args, payload_text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload_text)
-    else:
-        sys.stdout.write(payload_text)
-
-
-def _print_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2) + "\n")
-
-
-def cmd_dim_h0(args, config: RunConfig) -> int:
+def cmd_dim_h0(args):
     deg = _check_degree_magnitude(args.deg2)
     if math.floor(deg) >= exact.STR_LIMIT.bit_length():
         # a >= 2**floor(deg) > STR_LIMIT: refuse before bracketing a.
@@ -103,6 +85,7 @@ def cmd_dim_h0(args, config: RunConfig) -> int:
     dim = interval_h0.dim_h0(deg)
     obj: dict = {"deg2": str(deg), "dim_h0": dim}
     lines = [f"dim_S H0 = {dim}"]
+    covered = True
     if deg < 0:
         lines.append("degree is negative: the module is the base point alone")
     else:
@@ -126,52 +109,46 @@ def cmd_dim_h0(args, config: RunConfig) -> int:
                     if covered
                     else "certificate: FAILED"
                 )
-                if not covered:
-                    _render(args, config, obj, lines)
-                    return EXIT_VERIFICATION_FAILED
             else:
                 obj["certified"] = None
                 lines.append("certificate: skipped (bound above built-in check cap)")
-    _render(args, config, obj, lines)
-    return EXIT_OK
+    return obj, lines, covered
 
 
-def cmd_dim_h1(args, config: RunConfig) -> int:
+def cmd_dim_h1(args):
     deg = _check_degree_magnitude(args.deg2)
     m = circle_h1.dim_h1(deg)
     obj: dict = {"deg2": str(deg), "dim_h1": m}
     lines = [f"dim_S H1 = {m}"]
+    passed = True
     if m == 0:
         lines.append("degree at least -1: no coarsening is needed, the module is trivial")
     else:
         lines.append(f"window: deg2 in [-{m + 1}, -{m})")
         if m <= circle_h1.SUBSET_SUM_CAP:
             cert = circle_h1.certify_family(m)
-            obj["family_certified"] = cert.passed
+            passed = cert.passed
+            obj["family_certified"] = passed
             obj["lambda"] = str(cert.lam)
             lines.append(
                 f"family of {m} dyadic points generates at lambda = {cert.lam}: "
-                f"{'yes' if cert.passed else 'NO'}"
+                f"{'yes' if passed else 'NO'}"
             )
             lines.append(f"counting bound: no family smaller than {cert.cardinality_bound} covers")
-            if not cert.passed:
-                _render(args, config, obj, lines)
-                return EXIT_VERIFICATION_FAILED
         else:
             obj["family_certified"] = None
             lines.append("family certification skipped (enumeration cap)")
-    _render(args, config, obj, lines)
-    return EXIT_OK
+    return obj, lines, passed
 
 
-def cmd_euler(args, config: RunConfig) -> int:
+def cmd_euler(args):
     divisor = ArakelovDivisor.from_places(
         tuple(args.place or ()), arch=args.arch if args.arch is not None else 0
     )
     # p.bit_length() > log2(p) bounds the log part without refining it.
     log_part = sum(abs(m) * p.bit_length() for p, m in divisor.finite_part)
     _check_degree_magnitude(max(abs(divisor.archimedean_log2), log_part))
-    result = euler_characteristic(divisor, precision_bits=config.precision_bits)
+    result = euler_characteristic(divisor, precision_bits=args.precision)
     deg = result.deg2
     obj = {
         "divisor": {
@@ -193,15 +170,14 @@ def cmd_euler(args, config: RunConfig) -> int:
         f"step formula: primed-ceiling(deg2) + 1 = {result.step_value}",
         "identity verified: chi == step formula",
     ]
-    _render(args, config, obj, lines)
-    return EXIT_OK
+    return obj, lines, True
 
 
-def cmd_min_gen(args, config: RunConfig) -> int:
+def cmd_min_gen(args):
     options = interval_h0.SearchOptions(
         max_cardinality=args.max_size,
         report_all_minima=args.all,
-        budget=config.budget,
+        budget=args.budget,
     )
     found = interval_h0.min_generating_set(args.bound, options)
     obj: dict = {
@@ -221,11 +197,10 @@ def cmd_min_gen(args, config: RunConfig) -> int:
         obj["all_minima"] = [list(w) for w in found.all_minima]
         lines.append(f"all minima ({len(found.all_minima)}):")
         lines.extend(f"  {{{', '.join(map(str, w))}}}" for w in found.all_minima)
-    _render(args, config, obj, lines)
-    return EXIT_OK if obj["certified"] else EXIT_VERIFICATION_FAILED
+    return obj, lines, obj["certified"]
 
 
-def cmd_negabinary(args, config: RunConfig) -> int:
+def cmd_negabinary(args):
     if args.mode == "encode":
         word = negabinary.encode(args.value, args.width)
         obj = {
@@ -238,14 +213,12 @@ def cmd_negabinary(args, config: RunConfig) -> int:
             + "".join(str(d) for d in word.digits)
             + "  (little-endian, digit i weighs (-2)^i)"
         ]
-        _render(args, config, obj, lines)
-        return EXIT_OK
+        return obj, lines, True
     if args.mode == "decode":
         word = negabinary.NegabinaryWord(args.digits)
         value = negabinary.decode(word)
         obj = {"digits": list(word.digits), "width": word.width, "value": value}
-        _render(args, config, obj, [f"value: {value}"])
-        return EXIT_OK
+        return obj, [f"value: {value}"], True
     report = negabinary.verify_bijection(args.width)
     window = report.interval
     obj = {
@@ -262,11 +235,10 @@ def cmd_negabinary(args, config: RunConfig) -> int:
         f"distinct decoded values: {report.distinct_values}",
         f"bijective onto window: {'yes' if report.passed else 'NO'}",
     ]
-    _render(args, config, obj, lines)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+    return obj, lines, report.passed
 
 
-def cmd_scan(args, config: RunConfig) -> int:
+def cmd_scan(args):
     report = rr_scan(
         _check_degree_magnitude(args.lo), _check_degree_magnitude(args.hi), args.step
     )
@@ -283,90 +255,70 @@ def cmd_scan(args, config: RunConfig) -> int:
         "identity holds everywhere" if report.passed
         else f"identity FAILS at {', '.join(map(str, report.violations))}"
     )
-    _render(args, config, obj, lines)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+    return obj, lines, report.passed
 
 
-def cmd_figure(args, config: RunConfig) -> int:
+def cmd_figure(args):
     series = figure_data(args.lo, args.hi, samples_per_unit=args.samples_per_unit)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(series_to_svg(series))
-    if config.output_format == "csv":
-        _emit(args, series_to_csv(series))
-    elif config.output_format == "json":
-        _emit(args, series_to_json(series))
-    else:
-        lines = [f"chi - 1 on [{series.lo}, {series.hi}]"]
-        lines.append(f"jump points: {', '.join(map(str, series.jump_points)) or 'none'}")
-        lines.append(f"{'deg2':>10}  {'chi-1':>6}  jump")
-        jumps = set(series.jump_points)
-        for x, value in series.samples:
-            mark = "*" if x in jumps else ""
-            lines.append(f"{str(x):>10}  {value:>6}  {mark}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    if args.output_format == "csv":
+        # A real table, not the key,value rows of a payload.
+        return None, series_to_csv(series).splitlines(), True
+    lines = [f"chi - 1 on [{series.lo}, {series.hi}]"]
+    lines.append(f"jump points: {', '.join(map(str, series.jump_points)) or 'none'}")
+    lines.append(f"{'deg2':>10}  {'chi-1':>6}  jump")
+    jumps = set(series.jump_points)
+    for x, value in series.samples:
+        mark = "*" if x in jumps else ""
+        lines.append(f"{str(x):>10}  {value:>6}  {mark}")
+    return series_to_json_obj(series), lines, True
 
 
-def _suite_lines(suites) -> tuple[list[str], bool]:
+def cmd_verify(args):
+    suites = args.suites(args)
     lines = []
-    all_passed = True
     for suite in suites:
-        status = "PASS" if suite.passed else "FAIL"
-        all_passed = all_passed and suite.passed
-        lines.append(f"{status} {suite.name} ({suite.checks} checks)")
+        lines.append(f"{'PASS' if suite.passed else 'FAIL'} {suite.name} ({suite.checks} checks)")
         for failure in suite.failures[:5]:
             lines.append(f"     counterexample: {failure}")
         for note in suite.skipped:
             lines.append(f"     skipped: {note}")
-    return lines, all_passed
+    passed = all(suite.passed for suite in suites)
+    return {"passed": passed, "suites": [s.to_json_obj() for s in suites]}, lines, passed
 
 
-def cmd_verify_lemma33(args, config: RunConfig) -> int:
-    suites = [
-        verify.verify_golden_table(budget=config.budget),
-        verify.verify_construction(a_max=args.construction_max),
-    ]
-    lines, passed = _suite_lines(suites)
-    obj = {"passed": passed, "suites": [s.to_json_obj() for s in suites]}
-    _render(args, config, obj, lines)
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+def _render(output_format: str, payload, lines) -> str:
+    """The output of a command in the chosen format.
 
-
-def cmd_verify_h1(args, config: RunConfig) -> int:
-    suites = [verify.verify_circle(m_max=args.max_m)]
-    lines, passed = _suite_lines(suites)
-    obj = {"passed": passed, "suites": [s.to_json_obj() for s in suites]}
-    _render(args, config, obj, lines)
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
-
-
-def cmd_verify_all(args, config: RunConfig) -> int:
-    suites = verify.run_all(budget=config.budget, inject_fault=args.inject_fault)
-    lines, passed = _suite_lines(suites)
-    obj = {"passed": passed, "suites": [s.to_json_obj() for s in suites]}
-    _render(args, config, obj, lines)
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
-
-
-def _render(args, config: RunConfig, obj, lines) -> None:
-    if config.output_format == "json":
-        _print_json(args, obj)
-    elif config.output_format == "csv":
-        # Flat two-column CSV of the JSON payload for commands without a
-        # richer tabular form.
-        rows = ["key,value"]
-        for key, value in obj.items():
-            rows.append(f"{key},{json.dumps(value) if isinstance(value, (dict, list)) else value}")
-        _emit(args, "\n".join(rows) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
+    A payload of None means the lines are already the output (the CSV
+    table of figure)."""
+    if payload is None or output_format == "text":
+        return "\n".join(lines) + "\n"
+    if output_format == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    # Flat two-column CSV of the JSON payload.
+    rows = ["key,value"]
+    for key, value in payload.items():
+        rows.append(f"{key},{json.dumps(value) if isinstance(value, (dict, list)) else value}")
+    return "\n".join(rows) + "\n"
 
 
 def _accept_negative_rationals(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Let bare negative rationals like -5/2 be positional arguments."""
     parser._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?(/\d+)?$")
     return parser
+
+
+def _finish(parser: argparse.ArgumentParser, handler, **defaults) -> None:
+    """Give a command its handler and its --out option.
+
+    --out comes after the command's own arguments, so it closes every
+    usage line.
+    """
+    parser.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+    parser.set_defaults(handler=handler, **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,13 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _accept_negative_rationals(sub.add_parser("dim-h0", help="dimension of H0 at a rational degree"))
     p.add_argument("deg2", type=parse_rational, help="degree in log2 units (e.g. 4, -5/2, 2.5)")
-    p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    p.set_defaults(handler=cmd_dim_h0)
+    _finish(p, cmd_dim_h0)
 
     p = _accept_negative_rationals(sub.add_parser("dim-h1", help="dimension of H1 at a rational degree"))
     p.add_argument("deg2", type=parse_rational)
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_dim_h1)
+    _finish(p, cmd_dim_h1)
 
     p = _accept_negative_rationals(
         sub.add_parser("euler", help="both dimensions and chi for a divisor")
@@ -426,59 +376,53 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="Q",
         help="archimedean coefficient in log2 units (exact rational)",
     )
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_euler)
+    _finish(p, cmd_euler)
 
     p = sub.add_parser("min-gen", help="exhaustive minimal generating set of [-a, a]")
     p.add_argument("bound", type=int, metavar="A")
     p.add_argument("--all", action="store_true", help="report every minimum, not just the first")
     p.add_argument("--max-size", type=int, default=None, help="stop after this cardinality")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_min_gen)
+    _finish(p, cmd_min_gen)
 
     p = sub.add_parser("negabinary", help="base -2 encode/decode/verify")
     mode = p.add_subparsers(dest="mode", required=True, metavar="MODE")
     enc = mode.add_parser("encode", help="encode an integer at a given width")
     enc.add_argument("value", type=int)
     enc.add_argument("width", type=int)
-    enc.add_argument("--out", metavar="FILE")
-    enc.set_defaults(handler=cmd_negabinary)
+    _finish(enc, cmd_negabinary)
     dec = mode.add_parser("decode", help="decode a little-endian 0/1 word")
     dec.add_argument("digits", type=parse_digits, help="e.g. 111 or 1,1,1")
-    dec.add_argument("--out", metavar="FILE")
-    dec.set_defaults(handler=cmd_negabinary)
+    _finish(dec, cmd_negabinary)
     ver = mode.add_parser("verify", help="exhaustively verify one width")
     ver.add_argument("width", type=int)
-    ver.add_argument("--out", metavar="FILE")
-    ver.set_defaults(handler=cmd_negabinary)
+    _finish(ver, cmd_negabinary)
 
     p = _accept_negative_rationals(sub.add_parser("scan", help="check the chi identity on a rational grid"))
     p.add_argument("lo", type=parse_rational)
     p.add_argument("hi", type=parse_rational)
     p.add_argument("--step", type=parse_rational, default=Fraction(1, 4))
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_scan)
+    _finish(p, cmd_scan)
 
     p = _accept_negative_rationals(sub.add_parser("figure", help="step-function data for chi - 1"))
     p.add_argument("lo", type=parse_rational)
     p.add_argument("hi", type=parse_rational)
     p.add_argument("--samples-per-unit", type=int, default=16)
     p.add_argument("--svg", metavar="FILE", help="also render an SVG to FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_figure)
+    _finish(p, cmd_figure)
 
     p = sub.add_parser(
         "verify-lemma33",
         help="verify the tabulated minimal sets and the general construction",
     )
-    p.add_argument("--construction-max", type=int, default=512, metavar="A")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_verify_lemma33)
+    p.add_argument("--construction-max", type=int, default=verify.CONSTRUCTION_MAX, metavar="A")
+    _finish(p, cmd_verify, suites=lambda args: [
+        verify.verify_golden_table(budget=args.budget),
+        verify.verify_construction(a_max=args.construction_max),
+    ])
 
     p = sub.add_parser("verify-h1", help="verify the dyadic circle families")
-    p.add_argument("--max-m", type=int, default=12)
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_verify_h1)
+    p.add_argument("--max-m", type=int, default=verify.CIRCLE_M_MAX)
+    _finish(p, cmd_verify, suites=lambda args: [verify.verify_circle(m_max=args.max_m)])
 
     p = sub.add_parser("verify-all", help="run every built-in verification suite")
     p.add_argument(
@@ -486,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="self-test: corrupt one tabulated value and confirm detection",
     )
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=cmd_verify_all)
+    _finish(p, cmd_verify, suites=lambda args: verify.run_all(
+        budget=args.budget, inject_fault=args.inject_fault
+    ))
 
     return parser
 
@@ -509,13 +454,8 @@ def main(argv=None) -> int:
         parser.error("--precision must be at least 32 bits")
     if args.budget < 0:
         parser.error("--budget must be >= 0")
-    config = RunConfig(
-        precision_bits=args.precision,
-        budget=args.budget,
-        output_format=args.output_format,
-    )
     try:
-        return args.handler(args, config)
+        payload, lines, passed = args.handler(args)
     except PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -525,6 +465,13 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    text = _render(args.output_format, payload, lines)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -138,9 +138,6 @@ class DegreeValue:
 
         return refine(step, self.precision_bits, lambda: f"floor of {self} undecided")
 
-    def is_integer(self) -> bool:
-        return self.is_rational and self.rational_part.denominator == 1
-
     def floor_pow2(self) -> int:
         """Integer part of 2**degree, decided exactly.
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import OutOfRangeError, SizeCapError
 
-#: Default cap on exhaustive verification (2**n words).
+#: Cap on exhaustive verification (2**n words).
 VERIFY_CAP = 20
 
 
@@ -81,9 +81,6 @@ class NegabinaryWord:
     def width(self) -> int:
         return len(self.digits)
 
-    def value(self) -> int:
-        return decode(self)
-
 
 #: The little-endian digits of each byte value.
 _BYTE_DIGITS = [tuple((b >> i) & 1 for i in range(8)) for b in range(256)]
@@ -145,12 +142,12 @@ class BijectionReport:
         return self.injective and self.onto_interval
 
 
-def verify_bijection(n: int, cap: int = VERIFY_CAP) -> BijectionReport:
+def verify_bijection(n: int) -> BijectionReport:
     """Check that width-n words decode bijectively onto delta_interval(n)."""
     if n < 1:
         raise OutOfRangeError("width must be positive")
-    if n > cap:
-        raise SizeCapError(f"verification decodes 2**{n} words; cap is 2**{cap}")
+    if n > VERIFY_CAP:
+        raise SizeCapError(f"verification decodes 2**{n} words; cap is 2**{VERIFY_CAP}")
     window = delta_interval(n)
     size = 1 << n
     odd = _odd_positions(n)

@@ -16,6 +16,28 @@ from fractions import Fraction
 
 from . import circle_h1, gamma, interval_h0, negabinary
 from .divisor import ArakelovDivisor, ceil_prime, euler_characteristic, rr_scan
+from .errors import OutOfRangeError
+
+#: Seed and number of the random cases of the pointed-maps suite.
+POINTED_MAPS_SEED = 20260816
+POINTED_MAPS_CASES = 2000
+#: Widest negabinary words the negabinary suite checks.
+NEGABINARY_N_MAX = 16
+#: Grid of the euler-identity suite.
+IDENTITY_GRID = (Fraction(-6), Fraction(6), Fraction(1, 4))
+#: Default and largest bound of the construction suite (verify-lemma33
+#: --construction-max); the command takes about 1.2 s at the cap.
+CONSTRUCTION_MAX = 512
+CONSTRUCTION_CAP = 1 << 15
+#: Default and largest m of the circle suite (verify-h1 --max-m); the
+#: command takes about 1.2 s at the cap, twice that one step above.
+CIRCLE_M_MAX = 12
+CIRCLE_M_CAP = 16
+
+
+def _check_suite_bound(name: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise OutOfRangeError(f"{name} must lie in 1..{cap} (got {value})")
 
 
 @dataclass
@@ -47,7 +69,7 @@ class SuiteResult:
         }
 
 
-def verify_pointed_maps(seed: int = 20260816, random_cases: int = 2000) -> SuiteResult:
+def verify_pointed_maps() -> SuiteResult:
     """Functor laws exhaustively at small level, equivalence and the
     module action on seeded random data."""
     result = SuiteResult("pointed-maps")
@@ -82,8 +104,8 @@ def verify_pointed_maps(seed: int = 20260816, random_cases: int = 2000) -> Suite
                                 lhs == rhs,
                                 f"composition law failed: {phi} then {psi} on {x}",
                             )
-    rng = random.Random(seed)
-    for _ in range(random_cases):
+    rng = random.Random(POINTED_MAPS_SEED)
+    for _ in range(POINTED_MAPS_CASES):
         k = rng.randint(0, 8)
         entries = tuple(
             Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 4))) for _ in range(k)
@@ -93,7 +115,7 @@ def verify_pointed_maps(seed: int = 20260816, random_cases: int = 2000) -> Suite
         slow = gamma.member_subfunctor(x, gamma.SubsetSpec.symmetric(bound))
         fast = gamma.member_fast_symmetric(x, bound)
         result.check(slow == fast, f"membership tests disagree on {x} at {bound}")
-    for _ in range(random_cases // 4):
+    for _ in range(POINTED_MAPS_CASES // 4):
         ka = rng.randint(0, 4)
         kb = rng.randint(0, 4)
         alpha_raw = [Fraction(rng.randint(-4, 4), 16) for _ in range(ka)]
@@ -113,10 +135,11 @@ def verify_pointed_maps(seed: int = 20260816, random_cases: int = 2000) -> Suite
     return result
 
 
-def verify_negabinary(n_max: int = 16) -> SuiteResult:
-    """Window endpoints, bijectivity and roundtrips for widths up to n_max."""
+def verify_negabinary() -> SuiteResult:
+    """Window endpoints, bijectivity and roundtrips for widths up to
+    NEGABINARY_N_MAX."""
     result = SuiteResult("negabinary")
-    for n in range(0, 2 * n_max + 2):
+    for n in range(0, 2 * NEGABINARY_N_MAX + 2):
         result.check(
             negabinary.j_value(n) == negabinary.j_value_closed_form(n),
             f"recurrence and closed form disagree at {n}",
@@ -126,7 +149,7 @@ def verify_negabinary(n_max: int = 16) -> SuiteResult:
         result.check(
             negabinary.j_value(n) == expected, f"j({n}) != {expected}"
         )
-    for n in range(1, n_max + 1):
+    for n in range(1, NEGABINARY_N_MAX + 1):
         window = negabinary.delta_interval(n)
         weights = [(-2) ** i for i in range(n)]
         lo = sum(w for w in weights if w < 0)
@@ -200,8 +223,9 @@ def verify_golden_table(
     return result
 
 
-def verify_construction(a_max: int = 4096) -> SuiteResult:
+def verify_construction(a_max: int = CONSTRUCTION_MAX) -> SuiteResult:
     """The explicit size-(n+1) construction generates for every a up to a_max."""
+    _check_suite_bound("construction bound", a_max, CONSTRUCTION_CAP)
     result = SuiteResult("interval-construction")
     for a in range(1, a_max + 1):
         gens = interval_h0.explicit_generating_set(a)
@@ -217,9 +241,10 @@ def verify_construction(a_max: int = 4096) -> SuiteResult:
     return result
 
 
-def verify_circle(m_max: int = 12) -> SuiteResult:
+def verify_circle(m_max: int = CIRCLE_M_MAX) -> SuiteResult:
     """The dyadic family F(m) is a minimal generating family at its
     critical coarsening, for m up to m_max."""
+    _check_suite_bound("m", m_max, CIRCLE_M_CAP)
     result = SuiteResult("circle-families")
     for m in range(1, m_max + 1):
         cert = circle_h1.certify_family(m)
@@ -248,10 +273,10 @@ def verify_circle(m_max: int = 12) -> SuiteResult:
     return result
 
 
-def verify_identity(lo=Fraction(-6), hi=Fraction(6), step=Fraction(1, 4)) -> SuiteResult:
-    """The chi identity on a rational grid plus divisor spot values."""
+def verify_identity() -> SuiteResult:
+    """The chi identity on IDENTITY_GRID plus divisor spot values."""
     result = SuiteResult("euler-identity")
-    report = rr_scan(lo, hi, step)
+    report = rr_scan(*IDENTITY_GRID)
     result.check(
         report.passed,
         f"identity fails at {report.violations[:3] if report.violations else ()}",
@@ -275,15 +300,13 @@ def verify_identity(lo=Fraction(-6), hi=Fraction(6), step=Fraction(1, 4)) -> Sui
 
 
 def run_all(
-    budget: int = interval_h0.DEFAULT_SEARCH_BUDGET,
-    inject_fault: bool = False,
-    construction_max: int = 512,
+    budget: int = interval_h0.DEFAULT_SEARCH_BUDGET, inject_fault: bool = False
 ) -> list[SuiteResult]:
     return [
         verify_pointed_maps(),
         verify_negabinary(),
         verify_golden_table(budget=budget, inject_fault=inject_fault),
-        verify_construction(a_max=construction_max),
+        verify_construction(),
         verify_circle(),
         verify_identity(),
     ]

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 
 from arakelov_rr import circle_h1
-from arakelov_rr.errors import DomainError, OutOfRangeError
+from arakelov_rr.errors import DomainError, OutOfRangeError, SizeCapError
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,13 @@ def test_int_kernels_reject_floats():
         circle_h1.subset_sums([Fraction(1, 3), 0.25])
     with pytest.raises(DomainError):
         circle_h1.covering_radius([0.5])
+
+
+def test_subset_sums_cap():
+    # refused before a single sum is enumerated
+    points = circle_h1.f_generators(circle_h1.SUBSET_SUM_CAP + 1)
+    with pytest.raises(SizeCapError):
+        circle_h1.subset_sums(points)
 
 
 def test_sums_fill_dyadic_grid():

@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from arakelov_rr import cli
+from arakelov_rr import cli, verify
 from arakelov_rr.exact import log2_bounds
 
 
@@ -57,6 +57,23 @@ def test_dim_h1_nonnegative_degree(capsys):
     code, out, _ = run(["dim-h1", "3"], capsys)
     assert code == cli.EXIT_OK
     assert "0" in out
+
+
+def test_dim_h1_past_the_enumeration_cap(capsys):
+    # m = 25 > SUBSET_SUM_CAP: the dimension, but no certificate
+    code, out, _ = run(["dim-h1", "-26"], capsys)
+    assert code == cli.EXIT_OK
+    assert out == (
+        "dim_S H1 = 25\n"
+        "window: deg2 in [-26, -25)\n"
+        "family certification skipped (enumeration cap)\n"
+    )
+    code, out, _ = run(["--format", "json", "dim-h1", "-26"], capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["dim_h1"] == 25
+    assert payload["family_certified"] is None
+    assert '"family_certified": null' in out
 
 
 def test_degree_magnitude_guard(capsys):
@@ -371,6 +388,29 @@ def test_verify_lemma33(capsys):
     assert "PASS interval-construction" in out
 
 
+@pytest.mark.parametrize(
+    "command, flag, cap",
+    [
+        ("verify-lemma33", "--construction-max", verify.CONSTRUCTION_CAP),
+        ("verify-h1", "--max-m", verify.CIRCLE_M_CAP),
+    ],
+    ids=["verify-lemma33", "verify-h1"],
+)
+def test_verify_flags_are_bounded(command, flag, cap, capsys):
+    # -5 and 0 passed on 0 or 2 checks; far past the cap ran for minutes
+    for value in (-5, 0, cap + 1):
+        t0 = time.perf_counter()
+        code, out, err = run([command, flag, str(value)], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"1..{cap} (got {value})" in err
+    code, out, _ = run(["--budget", "2", command, flag, "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert "FAIL" not in out
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(["--budget", "8", "verify-all"], capsys)
     assert code == cli.EXIT_OK
@@ -445,14 +485,31 @@ def test_repeated_calls_usage_error_then_valid(capsys):
     assert err == ""
 
 
-def test_repeated_calls_out_file_then_stdout(tmp_path, capsys):
-    target = tmp_path / "h0.txt"
-    code, out, _ = run(["dim-h0", "4", "--out", str(target)], capsys)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim-h0", "4"],
+        ["dim-h1", "-7/2"],
+        ["euler", "--place", "3:1"],
+        ["min-gen", "5"],
+        ["negabinary", "encode", "-42", "7"],
+        ["negabinary", "decode", "0101010"],
+        ["negabinary", "verify", "8"],
+        ["scan", "-1", "1", "--step", "1"],
+        ["figure", "-1", "1", "--samples-per-unit", "2"],
+        ["--budget", "8", "verify-lemma33", "--construction-max", "64"],
+        ["verify-h1", "--max-m", "6"],
+        ["--budget", "8", "verify-all"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if a[0].isalpha()),
+)
+def test_repeated_calls_out_file_then_stdout(argv, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    code, out, _ = run(argv + ["--out", str(target)], capsys)
     assert code == cli.EXIT_OK
     assert out == ""
-    written = target.read_text()
-    assert written.startswith("dim_S H0 = 6")
-    code, out, _ = run(["dim-h0", "4"], capsys)
+    written = target.read_bytes()
+    code, out, _ = run(argv, capsys)
     assert code == cli.EXIT_OK
-    assert out == written
+    assert out.encode() == written
 

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 
 from arakelov_rr import negabinary, verify
-from arakelov_rr.errors import OutOfRangeError
+from arakelov_rr.errors import OutOfRangeError, SizeCapError
 
 
 def oracle_decode(digits):
@@ -150,8 +150,8 @@ def test_verify_bijection_reports():
 
 
 def test_verify_bijection_cap():
-    with pytest.raises(Exception):
-        negabinary.verify_bijection(30, cap=20)
+    with pytest.raises(SizeCapError):
+        negabinary.verify_bijection(negabinary.VERIFY_CAP + 1)
 
 
 @pytest.mark.parametrize("n", list(range(1, 21)) + [64, 129, 200])
@@ -176,9 +176,9 @@ def test_encode_matches_division_algorithm(n):
 
 
 def test_verify_negabinary_catches_a_broken_decode(monkeypatch):
-    assert verify.verify_negabinary(n_max=6).passed
+    assert verify.verify_negabinary().passed
     monkeypatch.setattr(
         negabinary, "decode", lambda word: oracle_decode(word.digits) + (word.width == 5)
     )
-    result = verify.verify_negabinary(n_max=6)
+    result = verify.verify_negabinary()
     assert result.failures == ["roundtrip failed for -10 at width 5"]
