@@ -217,6 +217,10 @@ def cmd_negabinary(args):
     if args.mode == "decode":
         word = negabinary.NegabinaryWord(args.digits)
         value = negabinary.decode(word)
+        if abs(value) >= exact.STR_LIMIT:
+            raise SizeCapError(
+                f"the value of this width-{word.width} word is too long to print in full"
+            )
         obj = {"digits": list(word.digits), "width": word.width, "value": value}
         return obj, [f"value: {value}"], True
     report = negabinary.verify_bijection(args.width)

@@ -112,6 +112,13 @@ class PointedVector:
         return sum(self.entries, EMPTY_SUM)
 
 
+def _unchecked(entries: tuple[Scalar, ...]) -> PointedVector:
+    """A vector of scalars built from checked ones: skips __post_init__."""
+    x = object.__new__(PointedVector)
+    object.__setattr__(x, "entries", entries)
+    return x
+
+
 def vector(*entries: Scalar) -> PointedVector:
     """Convenience constructor: vector(1, -2, 5)."""
     return PointedVector(tuple(entries))
@@ -181,7 +188,7 @@ def pushforward(phi: PointedMap, x: PointedVector) -> PointedVector:
     for value, target in zip(x.entries, phi.image):
         if target != BASEPOINT:
             sums[target - 1] = sums[target - 1] + value
-    return PointedVector(tuple(sums))
+    return _unchecked(tuple(sums))
 
 
 def member_subfunctor(x: PointedVector, subset: SubsetSpec) -> bool:
@@ -201,8 +208,8 @@ def member_subfunctor(x: PointedVector, subset: SubsetSpec) -> bool:
         )
     if not subset.contains(EMPTY_SUM):
         return False
-    scale = math.lcm(*(Fraction(e).denominator for e in x.entries))
-    entries = [int(e * scale) for e in x.entries if e != 0]
+    scale = math.lcm(*(e.denominator for e in x.entries))
+    entries = [e.numerator * (scale // e.denominator) for e in x.entries if e != 0]
     inside = subset.scaled_test(scale)
     total = 0
     picked = 0
@@ -248,8 +255,7 @@ def smash_action(alpha: PointedVector, a: PointedVector) -> PointedVector:
     """
     if not member_norm(alpha, 1):
         raise DomainError("acting tuple must have l1 norm at most 1")
-    entries = tuple(ai * aj for ai in alpha.entries for aj in a.entries)
-    return PointedVector(entries)
+    return _unchecked(tuple(ai * aj for ai in alpha.entries for aj in a.entries))
 
 
 def sum_witness(parts: Sequence[Scalar], subset: SubsetSpec) -> Optional[PointedVector]:

@@ -14,6 +14,8 @@ from .errors import OutOfRangeError, SizeCapError
 
 #: Cap on exhaustive verification (2**n words).
 VERIFY_CAP = 20
+#: Widest word encode builds (about 25 MiB of digits at the cap).
+ENCODE_CAP = 100_000
 
 
 def j_value(n: int) -> int:
@@ -67,7 +69,7 @@ def delta_interval(n: int) -> DeltaInterval:
     return DeltaInterval(n=n, lo=lo, hi=lo + 2 ** n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegabinaryWord:
     """A digit word, little-endian: digits[i] weighs (-2)**i."""
 
@@ -82,17 +84,10 @@ class NegabinaryWord:
         return len(self.digits)
 
 
-#: The little-endian digits of each byte value.
-_BYTE_DIGITS = [tuple((b >> i) & 1 for i in range(8)) for b in range(256)]
-
-
-def _odd_positions(n: int) -> int:
-    """Bit mask 0b...1010 of the odd digit positions below n.
-
-    A width-n word with bits w decodes to (w & even) - (w & odd), where
-    even = (1 << n) - 1 - odd, so the window of width n is [-odd, even].
-    """
-    return ((1 << (n & -2)) - 1) // 3 << 1
+#: Translates the characters "0" and "1" to the bytes 0 and 1.
+_ASCII_DIGITS = bytes.maketrans(b"01", b"\0\1")
+#: Sets a word's digits past frozen's __setattr__ (the slot's own setter).
+_set_digits = NegabinaryWord.digits.__set__
 
 
 def decode(word: NegabinaryWord) -> int:
@@ -106,22 +101,30 @@ def decode(word: NegabinaryWord) -> int:
 def encode(q: int, n: int) -> NegabinaryWord:
     """The unique width-n word for q; q must lie in delta_interval(n).
 
-    q + odd is a plain binary number: at an odd position i the digit d
-    weighs -d * 2**i, and adding 2**i makes that (1 - d) * 2**i.  Xoring
-    with odd flips those bits back, leaving the digits of q.
+    Let odd be the mask 0b...1010 of the odd positions below n.  A word
+    with bits w decodes to (w & ~odd) - (w & odd), so the window is
+    [-odd, 2**n - 1 - odd], and q + odd is a plain binary number in
+    [0, 2**n): at an odd position i the digit d weighs -d * 2**i, and
+    adding 2**i makes that (1 - d) * 2**i.  Xoring with odd flips those
+    bits back, leaving the digits of q.
     """
     if n < 1:
         raise OutOfRangeError("width must be positive")
-    odd = _odd_positions(n)
-    lo, hi = -odd, (1 << n) - 1 - odd
-    if not lo <= q <= hi:
-        raise OutOfRangeError(f"{q} has no width-{n} word: representable range is [{lo}, {hi}]")
-    digits: list[int] = []
-    for byte in ((q + odd) ^ odd).to_bytes((n + 7) // 8, "little"):
-        digits += _BYTE_DIGITS[byte]
+    if n > ENCODE_CAP:
+        raise SizeCapError(f"encode builds at most {ENCODE_CAP} digits (got width {n})")
+    odd = ((1 << (n & -2)) - 1) // 3 << 1
+    bits = q + odd
+    if bits >> n:
+        raise OutOfRangeError(
+            f"{q} has no width-{n} word: representable range is [{-odd}, {(1 << n) - 1 - odd}]"
+        )
+    bits ^= odd
+    # The binary string of bits with a leading 1 at position n, reversed
+    # past its "0b1" prefix, holds the n digits little-endian.
+    digits = tuple(bin(bits | 1 << n)[:2:-1].encode().translate(_ASCII_DIGITS))
     # The digits are 0/1 ints by construction: skip __post_init__.
     word = object.__new__(NegabinaryWord)
-    object.__setattr__(word, "digits", tuple(digits[:n]))
+    _set_digits(word, digits)
     return word
 
 
@@ -149,20 +152,17 @@ def verify_bijection(n: int) -> BijectionReport:
     if n > VERIFY_CAP:
         raise SizeCapError(f"verification decodes 2**{n} words; cap is 2**{VERIFY_CAP}")
     window = delta_interval(n)
-    size = 1 << n
-    odd = _odd_positions(n)
-    even = size - 1 - odd
-    values = [(mask & even) - (mask & odd) for mask in range(size)]
-    # Built from the top down, so each value keeps its least mask.
-    seen = dict(zip(reversed(values), range(size - 1, -1, -1)))
-    injective = len(seen) == size
+    # values[mask] is the sum of the weights (-2)**i of the bits of mask:
+    # each weight doubles the list by a shifted copy.  The copy is built in
+    # full first; extending by a lazy map over the list itself never ends.
+    values = [0]
+    for i in range(n):
+        values += list(map(((-2) ** i).__add__, values))
+    distinct = len(set(values))
+    lo, hi = min(values), max(values)
+    injective = distinct == len(values)
     # 2**n distinct values inside a window of width 2**n fill it exactly.
-    onto = (
-        injective
-        and len(seen) == window.width
-        and min(seen) == window.lo
-        and max(seen) == window.hi
-    )
+    onto = injective and distinct == window.width and (lo, hi) == (window.lo, window.hi)
 
     def digits_of(mask: int) -> tuple[int, ...]:
         return tuple((mask >> i) & 1 for i in range(n))
@@ -170,9 +170,10 @@ def verify_bijection(n: int) -> BijectionReport:
     return BijectionReport(
         n=n,
         interval=window,
-        distinct_values=len(seen),
+        distinct_values=distinct,
         injective=injective,
         onto_interval=onto,
-        lo_witness=digits_of(seen[min(seen)]),
-        hi_witness=digits_of(seen[max(seen)]),
+        # index finds the least mask, as the words are in mask order.
+        lo_witness=digits_of(values.index(lo)),
+        hi_witness=digits_of(values.index(hi)),
     )

@@ -67,6 +67,28 @@ def fraction_covering_radius(points):
     return max(gaps) / 2
 
 
+def two_pass_certify_family(m):
+    # certify_family as it was before its int kernel, on the Fraction
+    # helpers above: one pass over the sums here, one more for generating
+    lam = Fraction(1, 2 ** (m + 1))
+    family = circle_h1.f_generators(m)
+    sums = fraction_subset_sums(family)
+    on_grid = all(2 ** m % s.denominator == 0 for s in sums)
+    separated = m < 2 or oracle_separation(family) > lam
+    return circle_h1.CircleCertificate(
+        m=m,
+        lam=lam,
+        family=family,
+        sum_count=len(sums),
+        sums_are_dyadic_grid=on_grid and len(sums) == 2 ** m,
+        covering=fraction_covering_radius(sums),
+        separation=oracle_separation(family) if m >= 2 else None,
+        cardinality_bound=circle_h1.lower_bound_cardinality(lam),
+        generating=separated
+        and fraction_covering_radius(fraction_subset_sums(family)) <= lam,
+    )
+
+
 circle_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64).map(
     lambda q: q % 1
 )
@@ -252,6 +274,17 @@ def test_certify_family_small():
             assert cert.separation > cert.lam
         else:
             assert cert.separation is None
+
+
+def test_certify_family_matches_the_two_pass_fraction_oracle():
+    for m in range(1, 15):
+        assert circle_h1.certify_family(m) == two_pass_certify_family(m), m
+
+
+def test_certify_family_cap():
+    # refused before a single sum is enumerated
+    with pytest.raises(SizeCapError):
+        circle_h1.certify_family(circle_h1.SUBSET_SUM_CAP + 1)
 
 
 def test_lower_bound_cardinality():

@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from arakelov_rr import cli, verify
+from arakelov_rr import cli, negabinary, verify
 from arakelov_rr.exact import log2_bounds
 
 
@@ -323,6 +323,31 @@ def test_negabinary_verify(capsys):
     assert "bijective onto window: yes" in out
 
 
+def test_negabinary_encode_width_cap(capsys):
+    cap = negabinary.ENCODE_CAP
+    code, out, err = run(["--format", "json", "negabinary", "encode", "5", str(cap)], capsys)
+    assert code == cli.EXIT_OK and err == ""
+    assert json.loads(out)["digits"] == [1, 0, 1] + [0] * (cap - 3)
+    code, out, err = run(["negabinary", "encode", "5", str(cap + 1)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: encode builds at most {cap} digits (got width {cap + 1})\n"
+
+
+def test_negabinary_decode_of_a_value_too_long_to_print(capsys):
+    # 14,285 digits print the value's 4,300 decimal digits; one more is refused
+    for width, value_digits in ((14285, 4300), (14286, None)):
+        code, out, err = run(["negabinary", "decode", "0" * (width - 1) + "1"], capsys)
+        if value_digits is None:
+            assert code == cli.EXIT_USAGE and out == ""
+            assert err == (
+                f"error: the value of this width-{width} word is too long to print in full\n"
+            )
+        else:
+            assert code == cli.EXIT_OK and err == ""
+            assert len(out) == len("value: ") + value_digits + 1
+
+
 def test_negabinary_out_of_window(capsys):
     code, _, err = run(["negabinary", "encode", "6", "4"], capsys)
     assert code == cli.EXIT_USAGE
@@ -416,6 +441,15 @@ def test_verify_all_passes(capsys):
     assert code == cli.EXIT_OK
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+def test_verify_all_default_check_counts(capsys):
+    # a kernel rewrite must not drop a check unnoticed
+    code, out, _ = run(["--format", "json", "verify-all"], capsys)
+    assert code == cli.EXIT_OK
+    suites = json.loads(out)["suites"]
+    assert [s["checks"] for s in suites] == [4391, 90, 76, 512, 61, 79]
+    assert all(s["passed"] and not s["skipped"] for s in suites)
 
 
 def test_verify_all_json_matches_schema(capsys):

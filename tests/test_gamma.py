@@ -7,7 +7,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from arakelov_rr import gamma
+from arakelov_rr import gamma, verify
 from arakelov_rr.errors import DomainError, LevelMismatchError, SizeCapError
 
 
@@ -319,3 +319,42 @@ def test_compose_level_mismatch():
 def test_pushforward_level_mismatch():
     with pytest.raises(LevelMismatchError):
         gamma.pushforward(gamma.PointedMap.identity(2), gamma.vector(1))
+
+
+def test_computed_vectors_equal_checked_ones():
+    # pushforward and smash_action skip re-validation of their results
+    phi = gamma.PointedMap(3, 2, (2, 0, 2))
+    x = gamma.vector(Fraction(1, 2), 7, Fraction(-3, 4))
+    pushed = gamma.pushforward(phi, x)
+    assert pushed == gamma.PointedVector((0, Fraction(-1, 4)))
+    assert gamma.PointedVector(pushed.entries) == pushed
+    product = gamma.smash_action(gamma.vector(Fraction(1, 2), Fraction(-1, 4)), x)
+    assert product == gamma.PointedVector(
+        (Fraction(1, 4), Fraction(7, 2), Fraction(-3, 8),
+         Fraction(-1, 8), Fraction(-7, 4), Fraction(3, 16))
+    )
+
+
+def test_verify_pointed_maps_catches_a_pushforward_that_drops_an_entry(monkeypatch):
+    assert verify.verify_pointed_maps().passed
+    real = gamma.pushforward
+
+    def drop_last(phi, x):
+        if x.level:
+            x = gamma.PointedVector(x.entries[:-1] + (0,))
+        return real(phi, x)
+
+    monkeypatch.setattr(gamma, "pushforward", drop_last)
+    result = verify.verify_pointed_maps()
+    assert not result.passed
+    assert result.checks == 4391
+    assert result.failures[0] == "identity law failed at level 1"
+
+
+def test_verify_pointed_maps_catches_a_scaled_test_that_ignores_the_scale(monkeypatch):
+    real = gamma.SubsetSpec.scaled_test
+    monkeypatch.setattr(gamma.SubsetSpec, "scaled_test", lambda self, scale: real(self, 1))
+    result = verify.verify_pointed_maps()
+    assert not result.passed
+    assert result.checks == 4391
+    assert result.failures[0].startswith("membership tests disagree on")

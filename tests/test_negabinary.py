@@ -1,5 +1,6 @@
 """Base -2 digit words: the j sequence, windows, and the bijection."""
 
+import dataclasses
 import random
 
 import hypothesis
@@ -32,6 +33,37 @@ def oracle_j(n):
     for i in range(n):
         value = -2 * value + (1 if i % 2 == 1 else 0)
     return value
+
+
+def mask_dict_verify_bijection(n):
+    # verify_bijection as it was before it summed weights: each value from
+    # the even and odd position masks, kept in a dict from value to least mask
+    window = negabinary.delta_interval(n)
+    size = 1 << n
+    odd = ((1 << (n & -2)) - 1) // 3 << 1
+    even = size - 1 - odd
+    values = [(mask & even) - (mask & odd) for mask in range(size)]
+    seen = dict(zip(reversed(values), range(size - 1, -1, -1)))
+    injective = len(seen) == size
+    onto = (
+        injective
+        and len(seen) == window.width
+        and min(seen) == window.lo
+        and max(seen) == window.hi
+    )
+
+    def digits_of(mask):
+        return tuple((mask >> i) & 1 for i in range(n))
+
+    return negabinary.BijectionReport(
+        n=n,
+        interval=window,
+        distinct_values=len(seen),
+        injective=injective,
+        onto_interval=onto,
+        lo_witness=digits_of(seen[min(seen)]),
+        hi_witness=digits_of(seen[max(seen)]),
+    )
 
 
 J_FROZEN = {0: 0, 1: 0, 2: 1, 3: -2, 4: 5, 5: -10, 6: 21, 7: -42}
@@ -131,6 +163,24 @@ def test_encode_out_of_window():
         negabinary.encode(1, 0)
 
 
+def test_word_is_frozen():
+    word = negabinary.encode(-42, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        word.digits = (0,) * 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        negabinary.NegabinaryWord((1, 0)).digits = (0, 1)
+    assert word.digits == (0, 1, 0, 1, 0, 1, 0)
+    assert not hasattr(word, "__dict__")
+
+
+def test_encode_width_cap():
+    cap = negabinary.ENCODE_CAP
+    assert negabinary.encode(0, cap).digits == (0,) * cap
+    assert negabinary.encode(-2, cap).digits == (0, 1) + (0,) * (cap - 2)
+    with pytest.raises(SizeCapError):
+        negabinary.encode(0, cap + 1)
+
+
 def test_word_digit_validation():
     with pytest.raises(OutOfRangeError):
         negabinary.NegabinaryWord((0, 2))
@@ -147,6 +197,13 @@ def test_verify_bijection_reports():
         interval = negabinary.delta_interval(n)
         assert oracle_decode(report.lo_witness) == interval.lo
         assert oracle_decode(report.hi_witness) == interval.hi
+
+
+def test_verify_bijection_matches_the_mask_and_dict_oracle():
+    for n in range(1, 17):
+        report = negabinary.verify_bijection(n)
+        expected = mask_dict_verify_bijection(n)
+        assert dataclasses.asdict(report) == dataclasses.asdict(expected), n
 
 
 def test_verify_bijection_cap():
@@ -182,3 +239,31 @@ def test_verify_negabinary_catches_a_broken_decode(monkeypatch):
     )
     result = verify.verify_negabinary()
     assert result.failures == ["roundtrip failed for -10 at width 5"]
+
+
+def test_verify_negabinary_catches_a_broken_encode(monkeypatch):
+    real = negabinary.encode
+
+    def wrong_on_five(q, n):
+        word = real(q, n)
+        if (q, n) == (5, 4):
+            return negabinary.NegabinaryWord(word.digits[:-1] + (1 - word.digits[-1],))
+        return word
+
+    monkeypatch.setattr(negabinary, "encode", wrong_on_five)
+    result = verify.verify_negabinary()
+    assert result.failures == ["roundtrip failed for 5 at width 4"]
+    assert result.checks == 90
+
+
+def test_verify_negabinary_catches_an_encode_of_the_wrong_width(monkeypatch):
+    # one extra zero digit keeps the value, so only the width check sees it
+    real = negabinary.encode
+
+    def one_digit_too_many(q, n):
+        word = real(q, n)
+        return negabinary.NegabinaryWord(word.digits + (0,)) if (q, n) == (-2, 3) else word
+
+    monkeypatch.setattr(negabinary, "encode", one_digit_too_many)
+    result = verify.verify_negabinary()
+    assert result.failures == ["roundtrip failed for -2 at width 3"]
