@@ -471,8 +471,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     text = _render(args.output_format, payload, lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED

@@ -208,9 +208,17 @@ def materialize_or_bracket(
     2**alpha * prod(p**(m * beta)).  Past MATERIALIZE_CAP_BITS an integer
     x is refused; any other x makes 2**x irrational and is bracketed by
     log2 comparisons refined up to ``cap`` bits.  Errors name x as ``name``.
+
+    For beta > 1 the width of that ratio counts the log terms too: about
+    beta * sum(|m| * log2(p)) bits on top of (k + 2) * beta.  Bracketing is
+    sound there, as alpha/beta is in lowest terms and each p**(m * beta)
+    is a beta-th power, so 2**x is irrational.
     """
     alpha, beta = rational.numerator, rational.denominator
-    if (k + 2) * beta <= MATERIALIZE_CAP_BITS:
+    width = k + 2
+    if beta > 1:
+        width += sum(abs(m) * p.bit_length() for p, m in log_terms)
+    if width * beta <= MATERIALIZE_CAP_BITS:
         power = math.prod(
             (Fraction(p) ** (m * beta) for p, m in log_terms), start=Fraction(2) ** alpha
         )

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import OutOfRangeError, SizeCapError
 
-#: Cap on exhaustive verification (2**n words).
+#: Cap on exhaustive verification: 2**n words, held as a bitset of 2**n bits.
 VERIFY_CAP = 20
 #: Widest word encode builds (about 25 MiB of digits at the cap).
 ENCODE_CAP = 100_000
@@ -130,7 +131,8 @@ def encode(q: int, n: int) -> NegabinaryWord:
 
 @dataclass(frozen=True)
 class BijectionReport:
-    """Outcome of exhaustively decoding every width-n word."""
+    """Outcome of exhaustively decoding every width-n word, held as int
+    bitsets of at most 2**n bits (see _sum_levels), not as 2**n values."""
 
     n: int
     interval: DeltaInterval
@@ -145,6 +147,40 @@ class BijectionReport:
         return self.injective and self.onto_interval
 
 
+def _sum_levels(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """(bits, base) for the subset sums of each prefix of weights.
+
+    Bit o of bits is set when base + o is the sum of some subset of the
+    prefix.  Each weight w shift-ors the bitset by |w|; a negative one
+    also moves the base down by |w|.
+    """
+    bits, base = 1, 0
+    levels = [(bits, base)]
+    for w in weights:
+        if w >= 0:
+            bits |= bits << w
+        else:
+            bits = bits << -w | bits
+            base += w
+        levels.append((bits, base))
+    return levels
+
+
+def _least_mask(levels: list[tuple[int, int]], weights: Sequence[int], v: int) -> int:
+    """The least mask whose weights sum to v, a subset sum of weights.
+
+    From the top digit down, digit i is 1 exactly when what is left of v
+    is not a sum of the first i weights (levels[i]).
+    """
+    mask = 0
+    for i in range(len(weights) - 1, -1, -1):
+        bits, base = levels[i]
+        if v < base or not bits >> (v - base) & 1:
+            mask |= 1 << i
+            v -= weights[i]
+    return mask
+
+
 def verify_bijection(n: int) -> BijectionReport:
     """Check that width-n words decode bijectively onto delta_interval(n)."""
     if n < 1:
@@ -152,19 +188,19 @@ def verify_bijection(n: int) -> BijectionReport:
     if n > VERIFY_CAP:
         raise SizeCapError(f"verification decodes 2**{n} words; cap is 2**{VERIFY_CAP}")
     window = delta_interval(n)
-    # values[mask] is the sum of the weights (-2)**i of the bits of mask:
-    # each weight doubles the list by a shifted copy.  The copy is built in
-    # full first; extending by a lazy map over the list itself never ends.
-    values = [0]
-    for i in range(n):
-        values += list(map(((-2) ** i).__add__, values))
-    distinct = len(set(values))
-    lo, hi = min(values), max(values)
-    injective = distinct == len(values)
+    # The values come from the weights (-2)**i, not from encode's masks.
+    weights = [(-2) ** i for i in range(n)]
+    levels = _sum_levels(weights)
+    bits, base = levels[-1]
+    distinct = bits.bit_count()
+    lo = base + (bits & -bits).bit_length() - 1
+    hi = base + bits.bit_length() - 1
+    injective = distinct == 1 << n
     # 2**n distinct values inside a window of width 2**n fill it exactly.
     onto = injective and distinct == window.width and (lo, hi) == (window.lo, window.hi)
 
-    def digits_of(mask: int) -> tuple[int, ...]:
+    def witness(v: int) -> tuple[int, ...]:
+        mask = _least_mask(levels, weights, v)
         return tuple((mask >> i) & 1 for i in range(n))
 
     return BijectionReport(
@@ -173,7 +209,6 @@ def verify_bijection(n: int) -> BijectionReport:
         distinct_values=distinct,
         injective=injective,
         onto_interval=onto,
-        # index finds the least mask, as the words are in mask order.
-        lo_witness=digits_of(values.index(lo)),
-        hi_witness=digits_of(values.index(hi)),
+        lo_witness=witness(lo),
+        hi_witness=witness(hi),
     )

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from arakelov_rr import divisor as dv
+from arakelov_rr import exact
 from arakelov_rr.circle_h1 import dim_h1
 from arakelov_rr.errors import DomainError, FormulaViolation, PrecisionError, SizeCapError
 from arakelov_rr.exact import log2_bounds
@@ -289,6 +290,24 @@ def test_euler_identity_on_mixed_divisors(places, arch):
     result = dv.euler_characteristic(d)
     assert result.chi == result.h0 - result.h1
     assert result.chi == result.step_value
+
+
+def test_euler_brackets_rather_than_materialize_wide_log_terms(monkeypatch):
+    # degree about 0.08: 2**deg is the 125000-th root of a fraction whose
+    # log terms alone are millions of bits wide, so it must be bracketed
+    real = exact.nth_root_floor_fraction
+
+    def refuse_wide(q, k):
+        width = max(q.numerator.bit_length(), q.denominator.bit_length())
+        assert width <= exact.MATERIALIZE_CAP_BITS, f"built a {width}-bit power"
+        return real(q, k)
+
+    monkeypatch.setattr(exact, "nth_root_floor_fraction", refuse_wide)
+    d = dv.ArakelovDivisor.from_places(
+        [(5, -6), (1000003, -1), (2, -4)], Fraction(4742643, 125000)
+    )
+    result = dv.euler_characteristic(d)
+    assert (result.h0, result.h1, result.chi) == (2, 0, 2)
 
 
 # ---------------------------------------------------------------------------

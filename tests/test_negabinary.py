@@ -1,7 +1,9 @@
 """Base -2 digit words: the j sequence, windows, and the bijection."""
 
 import dataclasses
+import itertools
 import random
+import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as st
@@ -200,10 +202,59 @@ def test_verify_bijection_reports():
 
 
 def test_verify_bijection_matches_the_mask_and_dict_oracle():
-    for n in range(1, 17):
+    for n in range(1, 19):
         report = negabinary.verify_bijection(n)
         expected = mask_dict_verify_bijection(n)
         assert dataclasses.asdict(report) == dataclasses.asdict(expected), n
+
+
+def least_masks_by_itertools(weights):
+    # product yields the words top digit first, so in mask order; the first
+    # word met for a value is its least mask
+    least = {}
+    words = itertools.product((0, 1), repeat=len(weights))
+    for mask, top_first in enumerate(words):
+        value = sum(w * d for w, d in zip(weights, reversed(top_first)))
+        least.setdefault(value, mask)
+    return least
+
+
+def assert_sum_levels_match_itertools(weights):
+    levels = negabinary._sum_levels(weights)
+    assert len(levels) == len(weights) + 1
+    for i, (bits, base) in enumerate(levels):
+        least = least_masks_by_itertools(weights[:i])
+        assert bits.bit_count() == len(least)
+        assert base + (bits & -bits).bit_length() - 1 == min(least)
+        assert base + bits.bit_length() - 1 == max(least)
+        assert {base + o for o in range(bits.bit_length()) if bits >> o & 1} == set(least)
+        for value, mask in least.items():
+            assert negabinary._least_mask(levels, weights[:i], value) == mask
+
+
+@pytest.mark.parametrize(
+    "weights", [(), (1,), (1, 1, 2), (0, 3), (2, -2, 4), (-1, -1), (0, 0, -3, 3), (5, -5, 0, 5)]
+)
+def test_sum_levels_match_itertools_where_negabinary_never_goes(weights):
+    # zeros, repeats and mixed signs: the sums are not injective
+    assert_sum_levels_match_itertools(weights)
+
+
+@hypothesis.given(st.lists(st.integers(-9, 9), max_size=8))
+def test_sum_levels_match_itertools_on_random_weights(weights):
+    assert_sum_levels_match_itertools(weights)
+
+
+def test_verify_bijection_memory_is_bits_not_words():
+    # 2**20 values as Python ints in a list and a set take about 88 MiB;
+    # as bits, under 1
+    tracemalloc.start()
+    try:
+        negabinary.verify_bijection(negabinary.VERIFY_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_verify_bijection_cap():
