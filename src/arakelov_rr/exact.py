@@ -209,16 +209,28 @@ def materialize_or_bracket(
     x is refused; any other x makes 2**x irrational and is bracketed by
     log2 comparisons refined up to ``cap`` bits.  Errors name x as ``name``.
 
-    For beta > 1 the width of that ratio counts the log terms too: about
-    beta * sum(|m| * log2(p)) bits on top of (k + 2) * beta.  Bracketing is
-    sound there, as alpha/beta is in lowest terms and each p**(m * beta)
-    is a beta-th power, so 2**x is irrational.
+    A ratio whose denominator alone would pass the cap is bracketed too,
+    when beta > 1 (so 2**x is irrational: alpha/beta is in lowest terms
+    and each p**(m * beta) is a beta-th power) and k is at most half of
+    ``cap``, as bisecting [2**k, 2**(k+1)) must tell x from log2(t) to
+    about 2**-k.  Should that still run out of precision, the root decides.
     """
     alpha, beta = rational.numerator, rational.denominator
-    width = k + 2
-    if beta > 1:
-        width += sum(abs(m) * p.bit_length() for p, m in log_terms)
-    if width * beta <= MATERIALIZE_CAP_BITS:
+
+    def bracket() -> int:
+        return floor_pow2_bracketed(k, lambda t: compare_to_log2(bounds, t, cap, name))
+
+    if (k + 2) * beta <= MATERIALIZE_CAP_BITS:
+        if beta > 1 and k <= cap // 2:
+            # the numerator is about (k + 2) * beta bits wider than this
+            denominator_bits = max(-alpha, 0) + beta * sum(
+                -m * p.bit_length() for p, m in log_terms if m < 0
+            )
+            if (k + 2) * beta + denominator_bits > MATERIALIZE_CAP_BITS:
+                try:
+                    return bracket()
+                except PrecisionError:
+                    pass
         power = math.prod(
             (Fraction(p) ** (m * beta) for p, m in log_terms), start=Fraction(2) ** alpha
         )
@@ -226,7 +238,7 @@ def materialize_or_bracket(
     if beta == 1:
         text = f"({name})" if log_terms else abbreviated(alpha)
         raise SizeCapError(f"integer part of 2**{text} is too large to materialize")
-    return floor_pow2_bracketed(k, lambda t: compare_to_log2(bounds, t, cap, name))
+    return bracket()
 
 
 def floor_pow2_rational(q: Fraction) -> int:

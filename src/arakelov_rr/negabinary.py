@@ -131,8 +131,7 @@ def encode(q: int, n: int) -> NegabinaryWord:
 
 @dataclass(frozen=True)
 class BijectionReport:
-    """Outcome of exhaustively decoding every width-n word, held as int
-    bitsets of at most 2**n bits (see _sum_levels), not as 2**n values."""
+    """Outcome of exhaustively decoding every width-n word."""
 
     n: int
     interval: DeltaInterval

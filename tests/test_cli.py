@@ -1,12 +1,8 @@
 """Command line surface: parsing, formats, exit codes, fault injection."""
 
 import json
-import os
 import re
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -552,19 +548,11 @@ def test_repeated_calls_out_file_then_stdout(argv, tmp_path, capsys):
     assert out.encode() == written
 
 
-
 @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
-def test_unwritable_out_exits_2_without_a_traceback(where, tmp_path):
-    # a fresh process, so that stderr is what a user sees
+def test_unwritable_out_exits_2_without_a_traceback(where, tmp_path, capsys):
     target = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
-    package_dir = Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(package_dir))
-    done = subprocess.run(
-        [sys.executable, "-m", "arakelov_rr.cli", "euler", "--arch", "1", "--out", str(target)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == cli.EXIT_USAGE
-    assert done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith(f"error: cannot write {target}: ")
-    assert done.stderr.count("\n") == 1
+    code, out, err = run(["euler", "--arch", "1", "--out", str(target)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1

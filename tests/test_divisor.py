@@ -294,7 +294,7 @@ def test_euler_identity_on_mixed_divisors(places, arch):
 
 def test_euler_brackets_rather_than_materialize_wide_log_terms(monkeypatch):
     # degree about 0.08: 2**deg is the 125000-th root of a fraction whose
-    # log terms alone are millions of bits wide, so it must be bracketed
+    # denominator alone is millions of bits wide, so it must be bracketed
     real = exact.nth_root_floor_fraction
 
     def refuse_wide(q, k):
@@ -308,6 +308,52 @@ def test_euler_brackets_rather_than_materialize_wide_log_terms(monkeypatch):
     )
     result = dv.euler_characteristic(d)
     assert (result.h0, result.h1, result.chi) == (2, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "places, arch, chi",
+    [([(3, 700)], Fraction(1, 500), 1111), ([(3, 190000)], Fraction(1, 2), 301145)],
+)
+def test_euler_takes_the_root_when_k_is_too_wide_to_bracket(places, arch, chi):
+    # k is 1109 and 301142: bisecting [2**k, 2**(k+1)) at 256 bits runs out
+    # of precision, so these wide-numerator degrees must take the root
+    result = dv.euler_characteristic(dv.ArakelovDivisor.from_places(places, arch))
+    assert (result.h0, result.h1, result.chi) == (chi, 0, chi)
+
+
+def test_floor_pow2_brackets_a_wide_denominator_only_below_half_the_precision(monkeypatch):
+    # with the cap at 100 bits, a denominator 3**(2*40) of 160 estimated bits
+    # is too wide; k = 6 brackets, k = 41 > 64 // 2 takes the root
+    monkeypatch.setattr(exact, "MATERIALIZE_CAP_BITS", 100)
+    small_k = dv.DegreeValue(Fraction(1, 2), ((3, -40), (5, 30)), precision_bits=64)
+    wide_k = dv.DegreeValue(Fraction(1, 2), ((3, -40), (5, 45)), precision_bits=64)
+    assert (small_k.floor(), wide_k.floor()) == (6, 41)
+    real = exact.nth_root_floor_fraction
+    roots = []
+
+    def counted(q, k):
+        roots.append(k)
+        return real(q, k)
+
+    monkeypatch.setattr(exact, "nth_root_floor_fraction", counted)
+    for value, root_taken in ((small_k, []), (wide_k, [2])):
+        roots.clear()
+        t = value.floor_pow2()
+        assert roots == root_taken
+        q, beta = exact_power(value)
+        assert Fraction(t) ** beta <= q < Fraction(t + 1) ** beta
+
+
+def test_floor_pow2_takes_the_root_when_bracketing_runs_out(monkeypatch):
+    value = dv.DegreeValue(Fraction(1, 2), ((3, -40), (5, 30)), precision_bits=64)
+    expected = value.floor_pow2()
+    monkeypatch.setattr(exact, "MATERIALIZE_CAP_BITS", 100)
+
+    def undecided(bounds, t, cap, name):
+        raise PrecisionError(f"cannot separate {name} from log2({t})")
+
+    monkeypatch.setattr(exact, "compare_to_log2", undecided)
+    assert value.floor_pow2() == expected
 
 
 # ---------------------------------------------------------------------------
