@@ -3,8 +3,8 @@
 Points live on R/Z as exact Fractions in [0, 1).  A finite pointed family
 generates the lambda-coarsened circle when its subset sums come within
 lambda of every point; the workhorse family F(m) consists of the m points
-2**-j shifted alternately across 0, whose subset sums are exactly the
-2**m multiples of 2**-m.
+(-2)**-j reduced mod 1, whose subset sums are exactly the 2**m multiples
+of 2**-m.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def circle_distance(x, y) -> Fraction:
 
 
 def f_generators(m: int) -> tuple[Fraction, ...]:
-    """The family F(m): for j = 1..m, the point -(-2)**-j reduced mod 1.
+    """The family F(m): for j = 1..m, the point (-2)**-j reduced mod 1.
 
     Odd j gives 1 - 2**-j, even j gives 2**-j.  Its 2**m subset sums are
     exactly the multiples of 2**-m (see subset_sums); that is the

@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=interval_h0.DEFAULT_SEARCH_BUDGET,
         metavar="A",
-        help="largest interval bound for exhaustive minimal searches (default 31)",
+        help="largest interval bound for exhaustive minimal searches (default and maximum 63)",
     )
     parser.add_argument(
         "--format",
@@ -456,8 +456,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision < 32:
         parser.error("--precision must be at least 32 bits")
-    if args.budget < 0:
-        parser.error("--budget must be >= 0")
+    if not 0 <= args.budget <= interval_h0.DEFAULT_SEARCH_BUDGET:
+        parser.error(f"--budget must be in 0..{interval_h0.DEFAULT_SEARCH_BUDGET}")
     try:
         payload, lines, passed = args.handler(args)
     except PrecisionError as exc:

@@ -23,8 +23,9 @@ from .errors import DomainError, OutOfRangeError, SizeCapError
 from .exact import floor_pow2_rational
 from .gamma import EMPTY_SUM
 
-#: Largest bound the exhaustive minimal-set search accepts by default.
-DEFAULT_SEARCH_BUDGET = 31
+#: Largest bound the exhaustive minimal-set search accepts by default, and
+#: the largest --budget the command line admits.
+DEFAULT_SEARCH_BUDGET = 63
 
 
 def _checked_bound(a: int) -> int:
@@ -286,10 +287,12 @@ def _search_level(
     can generate: each pick at most doubles the c covered sums, so r picks
     left need c << r >= 2a + 1; and realizing a and -a needs positive and
     negative parts each summing to at least a, which the r largest values
-    still available must be able to supply.  The last pick g only adds
-    covered sums shifted by g, so it must carry the least covered sum to
-    or below the least missing one, and the greatest covered sum to or
-    above the greatest missing one.
+    still available must be able to supply.  When the picks left are all
+    positive, or only one is left, each new sum is a covered sum plus at
+    least the next pick g (picks rise along the universe), so g may carry
+    the least covered sum no further than the least missing one.  The last
+    pick only shifts covered sums by g, so it must also carry the greatest
+    covered sum to or above the greatest missing one.
     """
     n = len(universe)
     loads = (1 << (a + 1)) - 1
@@ -315,12 +318,14 @@ def _search_level(
             if neg + k * (a - start) - k * (k - 1) // 2 < a or pos + j * a - j * (j - 1) // 2 < a:
                 return
             missing = targets ^ covered
-            if r == 1 and missing:
-                # max(missing) - max(covered) <= g <= min(missing) - min(covered)
-                low = missing.bit_length() - covered.bit_length()
+            if missing and (r == 1 or universe[start] > 0):
+                # next pick g <= min(missing) - min(covered); last pick also
+                # g >= max(missing) - max(covered)
                 high = (missing & -missing).bit_length() - (covered & -covered).bit_length()
-                start = max(start, bisect_left(universe, low))
-                stop = bisect_right(universe, high)
+                stop = min(stop, bisect_right(universe, high))
+                if r == 1:
+                    low = missing.bit_length() - covered.bit_length()
+                    start = max(start, bisect_left(universe, low))
         for i in range(start, stop):
             g = universe[i]
             picked.append(g)

@@ -393,6 +393,24 @@ def test_min_gen_budget_guard(capsys):
     assert "capped at a = 4" in err
 
 
+def test_min_gen_answers_up_to_the_budget_cap(capsys):
+    code, out, _ = run(["--budget", "63", "min-gen", "63"], capsys)
+    assert code == cli.EXIT_OK
+    assert "{-63, 1, 2, 4, 8, 16, 32}" in out
+    code, out, _ = run(["min-gen", "33"], capsys)
+    assert code == cli.EXIT_OK
+    assert "{-33, 1, 2, 3, 4, 6, 17}" in out
+    code, _, err = run(["min-gen", "64"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "capped at a = 63" in err
+
+
+def test_budget_above_the_cap_is_a_usage_error(capsys):
+    code, _, err = run(["--budget", "64", "min-gen", "5"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "--budget" in err
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------

@@ -247,6 +247,68 @@ def test_min_search_without_pruning_agrees():
         assert (pruned.size, pruned.witness) == (plain.size, plain.witness)
 
 
+def test_min_search_without_pruning_agrees_on_all_minima():
+    for a in range(1, 10):
+        pruned, plain = (
+            interval_h0.min_generating_set(
+                a, interval_h0.SearchOptions(report_all_minima=True, prune=prune)
+            ).all_minima
+            for prune in (True, False)
+        )
+        assert pruned == plain, a
+
+
+# First witnesses for a = 16..31, computed once with the search as it stood
+# before the positive-tail cut (only the r == 1 range rule).
+PINNED_FIRST_WITNESSES = {
+    16: (-16, -8, -4, -2, -1, 16),
+    17: (-17, 1, 2, 3, 4, 7),
+    18: (-18, 1, 2, 3, 4, 8),
+    19: (-19, 1, 2, 3, 4, 9),
+    20: (-20, 1, 2, 3, 4, 10),
+    21: (-21, 1, 2, 3, 4, 11),
+    22: (-22, 1, 2, 3, 5, 11),
+    23: (-23, 1, 2, 3, 5, 12),
+    24: (-24, 1, 2, 3, 6, 12),
+    25: (-25, 1, 2, 3, 6, 13),
+    26: (-26, 1, 2, 3, 7, 13),
+    27: (-27, 1, 2, 3, 7, 14),
+    28: (-28, 1, 2, 4, 7, 14),
+    29: (-29, 1, 2, 4, 7, 15),
+    30: (-30, 1, 2, 4, 8, 15),
+    31: (-31, 1, 2, 4, 8, 16),
+}
+
+
+def test_min_search_first_witnesses_match_the_pinned_ones():
+    for a, witness in PINNED_FIRST_WITNESSES.items():
+        assert interval_h0.min_generating_set(a).witness == witness, a
+
+
+def test_min_search_all_minima_counts_match_the_pinned_ones():
+    options = interval_h0.SearchOptions(report_all_minima=True)
+    for a, count in ((16, 460), (20, 266)):
+        minima = interval_h0.min_generating_set(a, options).all_minima
+        assert len(minima) == count, a
+        assert minima[0] == PINNED_FIRST_WITNESSES[a]
+
+
+def test_min_search_work_at_a20_is_bounded(monkeypatch):
+    # a count of load-DP steps, not a wall-clock bound: 700 with the
+    # positive-tail cut, about 14,600 with only the last-pick range rule
+    calls = 0
+    extend = interval_h0._extend
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    monkeypatch.setattr(interval_h0, "_extend", counted)
+    assert interval_h0.min_generating_set(20).witness == PINNED_FIRST_WITNESSES[20]
+    assert calls <= 2000
+
+
 # ---------------------------------------------------------------------------
 # the explicit construction for large a
 # ---------------------------------------------------------------------------
