@@ -150,20 +150,21 @@ def cmd_euler(args):
     _check_degree_magnitude(max(abs(divisor.archimedean_log2), log_part))
     result = euler_characteristic(divisor, precision_bits=args.precision)
     deg = result.deg2
+    approx = deg.approx()
     obj = {
         "divisor": {
             "places": {str(p): m for p, m in divisor.finite_part},
             "arch": str(divisor.archimedean_log2),
         },
         "deg2": str(deg),
-        "deg2_approx": deg.approx(),
+        "deg2_approx": approx,
         "h0": result.h0,
         "h1": result.h1,
         "chi": result.chi,
         "step_value": result.step_value,
     }
     lines = [
-        f"deg2 = {deg} (~{deg.approx():.6f})",
+        f"deg2 = {deg} (~{approx:.6f})",
         f"dim_S H0 = {result.h0}",
         f"dim_S H1 = {result.h1}",
         f"chi = {result.chi}",
@@ -174,12 +175,7 @@ def cmd_euler(args):
 
 
 def cmd_min_gen(args):
-    options = interval_h0.SearchOptions(
-        max_cardinality=args.max_size,
-        report_all_minima=args.all,
-        budget=args.budget,
-    )
-    found = interval_h0.min_generating_set(args.bound, options)
+    found = interval_h0.min_generating_set(args.bound, report_all_minima=args.all)
     obj: dict = {
         "a": args.bound,
         "size": found.size,
@@ -265,8 +261,7 @@ def cmd_scan(args):
 def cmd_figure(args):
     series = figure_data(args.lo, args.hi, samples_per_unit=args.samples_per_unit)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(series_to_svg(series))
+        _write_text(args.svg, series_to_svg(series))
     if args.output_format == "csv":
         # A real table, not the key,value rows of a payload.
         return None, series_to_csv(series).splitlines(), True
@@ -287,10 +282,16 @@ def cmd_verify(args):
         lines.append(f"{'PASS' if suite.passed else 'FAIL'} {suite.name} ({suite.checks} checks)")
         for failure in suite.failures[:5]:
             lines.append(f"     counterexample: {failure}")
-        for note in suite.skipped:
-            lines.append(f"     skipped: {note}")
     passed = all(suite.passed for suite in suites)
     return {"passed": passed, "suites": [s.to_json_obj() for s in suites]}, lines, passed
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _render(output_format: str, payload, lines) -> str:
@@ -338,14 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_PRECISION_BITS,
         metavar="BITS",
-        help="interval-refinement cap for odd-prime logarithms (default 256)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=interval_h0.DEFAULT_SEARCH_BUDGET,
-        metavar="A",
-        help="largest interval bound for exhaustive minimal searches (default and maximum 63)",
+        help="interval-refinement cap for odd-prime logarithms (default 256, at most 4096)",
     )
     parser.add_argument(
         "--format",
@@ -385,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-gen", help="exhaustive minimal generating set of [-a, a]")
     p.add_argument("bound", type=int, metavar="A")
     p.add_argument("--all", action="store_true", help="report every minimum, not just the first")
-    p.add_argument("--max-size", type=int, default=None, help="stop after this cardinality")
     _finish(p, cmd_min_gen)
 
     p = sub.add_parser("negabinary", help="base -2 encode/decode/verify")
@@ -420,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--construction-max", type=int, default=verify.CONSTRUCTION_MAX, metavar="A")
     _finish(p, cmd_verify, suites=lambda args: [
-        verify.verify_golden_table(budget=args.budget),
+        verify.verify_golden_table(),
         verify.verify_construction(a_max=args.construction_max),
     ])
 
@@ -434,9 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="self-test: corrupt one tabulated value and confirm detection",
     )
-    _finish(p, cmd_verify, suites=lambda args: verify.run_all(
-        budget=args.budget, inject_fault=args.inject_fault
-    ))
+    _finish(p, cmd_verify, suites=lambda args: verify.run_all(inject_fault=args.inject_fault))
 
     return parser
 
@@ -456,10 +447,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision < 32:
         parser.error("--precision must be at least 32 bits")
-    if not 0 <= args.budget <= interval_h0.DEFAULT_SEARCH_BUDGET:
-        parser.error(f"--budget must be in 0..{interval_h0.DEFAULT_SEARCH_BUDGET}")
+    if args.precision > exact.COMPARE_BITS_CAP:
+        parser.error(f"--precision must be at most {exact.COMPARE_BITS_CAP} bits")
     try:
         payload, lines, passed = args.handler(args)
+        text = _render(args.output_format, payload, lines)
+        if args.out:
+            _write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
     except PrecisionError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -469,16 +465,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = _render(args.output_format, payload, lines)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 

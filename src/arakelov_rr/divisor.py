@@ -180,10 +180,12 @@ def ceil_prime(x) -> int:
     -ceiling(-x) on non-integer negatives; at integers it steps to n + 1
     for n >= 0 (right-continuous, with a jump of two at zero).
     """
+    # x >= 0 exactly when floor(x) >= 0, so one floor decides both.
     if isinstance(x, DegreeValue):
-        return x.floor() + 1 if x.sign() >= 0 else x.floor()
-    q = _checked_rational(x, "argument")
-    return math.floor(q) + 1 if q >= 0 else math.floor(q)
+        k = x.floor()
+    else:
+        k = math.floor(_checked_rational(x, "argument"))
+    return k + 1 if k >= 0 else k
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,8 @@ def compare_to_log2(bounds: Enclosure, t: int, cap: int, name) -> int:
 #: materialize before switching to log-comparison bracketing.
 MATERIALIZE_CAP_BITS = 1 << 20
 
-#: Refinement cap for rational-vs-log2 comparisons in the bracketing path.
+#: Refinement cap for rational-vs-log2 comparisons in the bracketing path,
+#: and the largest --precision the command line admits.
 COMPARE_BITS_CAP = 1 << 12
 
 

@@ -23,9 +23,9 @@ from .errors import DomainError, OutOfRangeError, SizeCapError
 from .exact import floor_pow2_rational
 from .gamma import EMPTY_SUM
 
-#: Largest bound the exhaustive minimal-set search accepts by default, and
-#: the largest --budget the command line admits.
-DEFAULT_SEARCH_BUDGET = 63
+#: Largest bound the exhaustive minimal-set search accepts: every a up to
+#: it finishes in well under a second (a = 64 takes seconds).
+SEARCH_CAP = 63
 
 
 def _checked_bound(a: int) -> int:
@@ -258,16 +258,6 @@ def lower_bound_size(a: int) -> int:
     return (2 * _checked_bound(a)).bit_length()
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs for the exhaustive minimal-generating-set search."""
-
-    max_cardinality: Optional[int] = None
-    report_all_minima: bool = False
-    budget: int = DEFAULT_SEARCH_BUDGET
-    prune: bool = True
-
-
 @dataclass(frozen=True, eq=True)
 class MinSearchResult:
     size: int
@@ -338,32 +328,28 @@ def _search_level(
     return found
 
 
-def min_generating_set(a: int, options: Optional[SearchOptions] = None) -> MinSearchResult:
+def min_generating_set(
+    a: int, report_all_minima: bool = False, prune: bool = True
+) -> MinSearchResult:
     """Smallest generating set of [-a, a], by cardinality then lex order.
 
     Searches candidate subsets of the nonzero integers in [-a, a] level
-    by level starting at the counting lower bound; within a level,
-    candidates come in lexicographic order of the sorted universe, so the
-    reported witness is deterministic.  Both prunes (see _search_level)
-    cut only prefixes that cannot generate; prune=False visits every
-    candidate and serves as the reference.
+    by level starting at the counting lower bound, for a up to
+    SEARCH_CAP; within a level, candidates come in lexicographic order of
+    the sorted universe, so the reported witness is deterministic.  The
+    prunes (see _search_level) cut only prefixes that cannot generate;
+    prune=False visits every candidate and serves as the reference.
     """
-    opts = options or SearchOptions()
     a = _checked_bound(a)
-    if a > opts.budget:
+    if a > SEARCH_CAP:
         raise SizeCapError(
-            f"exhaustive search capped at a = {opts.budget}; "
+            f"exhaustive search capped at a = {SEARCH_CAP}; "
             "use explicit_generating_set for larger bounds"
         )
     universe = tuple(v for v in range(-a, a + 1) if v != 0)
-    start = lower_bound_size(a)
-    stop = opts.max_cardinality if opts.max_cardinality is not None else len(universe)
-    if stop < start:
-        raise DomainError(
-            f"max_cardinality {stop} is below the counting lower bound {start}"
-        )
-    for size in range(start, stop + 1):
-        found = _search_level(universe, a, size, opts.prune, opts.report_all_minima)
+    # The whole universe generates, so some level answers.
+    for size in range(lower_bound_size(a), len(universe) + 1):
+        found = _search_level(universe, a, size, prune, report_all_minima)
         if found:
             witness = found[0]
             certificate = generates(witness, a)
@@ -372,9 +358,9 @@ def min_generating_set(a: int, options: Optional[SearchOptions] = None) -> MinSe
                 size=size,
                 witness=witness,
                 certificate=certificate,
-                all_minima=tuple(found) if opts.report_all_minima else None,
+                all_minima=tuple(found) if report_all_minima else None,
             )
-    raise SizeCapError(f"no generating set with at most {stop} elements")
+    raise AssertionError(f"the nonzero integers in [-{a}, {a}] do not generate")
 
 
 def dim_h0(deg2) -> int:

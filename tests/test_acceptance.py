@@ -83,9 +83,7 @@ def test_criterion_2_balanced_set_anomaly_at_two(capsys):
     ok = True
     detail = ""
 
-    result = interval_h0.min_generating_set(
-        2, interval_h0.SearchOptions(report_all_minima=True)
-    )
+    result = interval_h0.min_generating_set(2, report_all_minima=True)
     if result.size != 3:
         ok = False
         detail = f"minimum for a=2 is {result.size}, not 3"

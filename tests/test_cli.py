@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from arakelov_rr import cli, negabinary, verify
+from arakelov_rr import cli, exact, negabinary, verify
 from arakelov_rr.exact import log2_bounds
 
 
@@ -388,13 +388,19 @@ def test_min_gen_at_the_default_budget_is_fast(capsys):
 
 
 def test_min_gen_budget_guard(capsys):
-    code, _, err = run(["--budget", "4", "min-gen", "5"], capsys)
-    assert code == cli.EXIT_USAGE
-    assert "capped at a = 4" in err
+    # the one search cap holds with or without --all
+    for argv in (["min-gen", "64"], ["min-gen", "--all", "65"]):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: exhaustive search capped at a = 63; "
+            "use explicit_generating_set for larger bounds\n"
+        )
 
 
 def test_min_gen_answers_up_to_the_budget_cap(capsys):
-    code, out, _ = run(["--budget", "63", "min-gen", "63"], capsys)
+    code, out, _ = run(["min-gen", "63"], capsys)
     assert code == cli.EXIT_OK
     assert "{-63, 1, 2, 4, 8, 16, 32}" in out
     code, out, _ = run(["min-gen", "33"], capsys)
@@ -405,10 +411,17 @@ def test_min_gen_answers_up_to_the_budget_cap(capsys):
     assert "capped at a = 63" in err
 
 
-def test_budget_above_the_cap_is_a_usage_error(capsys):
-    code, _, err = run(["--budget", "64", "min-gen", "5"], capsys)
-    assert code == cli.EXIT_USAGE
-    assert "--budget" in err
+def test_removed_search_flags_are_usage_errors(capsys):
+    # --budget and min-gen --max-size are gone; the search has one fixed cap
+    for argv in (
+        ["--budget", "63", "min-gen", "5"],
+        ["--budget", "8", "verify-all"],
+        ["min-gen", "5", "--max-size", "4"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "error: " in err
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +436,7 @@ def test_verify_h1(capsys):
 
 
 def test_verify_lemma33(capsys):
-    code, out, _ = run(
-        ["--budget", "8", "verify-lemma33", "--construction-max", "64"], capsys
-    )
+    code, out, _ = run(["verify-lemma33", "--construction-max", "64"], capsys)
     assert code == cli.EXIT_OK
     assert "PASS interval-golden-table" in out
     assert "PASS interval-construction" in out
@@ -449,13 +460,13 @@ def test_verify_flags_are_bounded(command, flag, cap, capsys):
         assert out == ""
         assert err.startswith("error: ")
         assert f"1..{cap} (got {value})" in err
-    code, out, _ = run(["--budget", "2", command, flag, "1"], capsys)
+    code, out, _ = run([command, flag, "1"], capsys)
     assert code == cli.EXIT_OK
     assert "FAIL" not in out
 
 
 def test_verify_all_passes(capsys):
-    code, out, _ = run(["--budget", "8", "verify-all"], capsys)
+    code, out, _ = run(["verify-all"], capsys)
     assert code == cli.EXIT_OK
     assert out.count("PASS") == 6
     assert "FAIL" not in out
@@ -476,7 +487,7 @@ def test_verify_all_json_matches_schema(capsys):
     schema = json.loads(
         resources.files("arakelov_rr").joinpath("report_schema.json").read_text()
     )
-    code, out, _ = run(["--budget", "8", "--format", "json", "verify-all"], capsys)
+    code, out, _ = run(["--format", "json", "verify-all"], capsys)
     assert code == cli.EXIT_OK
     payload = json.loads(out)
     jsonschema.validate(payload, schema)
@@ -485,7 +496,7 @@ def test_verify_all_json_matches_schema(capsys):
 
 
 def test_verify_all_fault_injection_fails(capsys):
-    code, out, _ = run(["--budget", "8", "verify-all", "--inject-fault"], capsys)
+    code, out, _ = run(["verify-all", "--inject-fault"], capsys)
     assert code == cli.EXIT_VERIFICATION_FAILED
     assert "FAIL" in out
 
@@ -498,6 +509,19 @@ def test_verify_all_fault_injection_fails(capsys):
 def test_precision_floor_enforced(capsys):
     code, _, err = run(["--precision", "16", "euler"], capsys)
     assert code == cli.EXIT_USAGE
+
+
+def test_precision_cap_enforced(capsys):
+    # one ceiling for rational and log-term comparisons; refinement cost
+    # grows fast past it (log2_bounds(3, 16384) takes seconds)
+    assert exact.COMPARE_BITS_CAP == 4096
+    code, out, err = run(["--precision", "4097", "euler", "--place", "3:1"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "--precision must be at most 4096 bits" in err
+    code, out, _ = run(["--precision", "4096", "euler", "--place", "3:1"], capsys)
+    assert code == cli.EXIT_OK
+    assert "dim_S H0 = 3" in out
 
 
 def test_unknown_subcommand(capsys):
@@ -528,9 +552,9 @@ def test_repeated_calls_json_then_text(capsys):
 
 
 def test_repeated_calls_usage_error_then_valid(capsys):
-    code, _, err = run(["--budget", "-1", "min-gen", "3"], capsys)
+    code, _, err = run(["--precision", "16", "min-gen", "3"], capsys)
     assert code == cli.EXIT_USAGE
-    assert "--budget" in err
+    assert "--precision" in err
     code, out, err = run(["min-gen", "3"], capsys)
     assert code == cli.EXIT_OK
     assert "{-3, 1, 2}" in out
@@ -549,9 +573,9 @@ def test_repeated_calls_usage_error_then_valid(capsys):
         ["negabinary", "verify", "8"],
         ["scan", "-1", "1", "--step", "1"],
         ["figure", "-1", "1", "--samples-per-unit", "2"],
-        ["--budget", "8", "verify-lemma33", "--construction-max", "64"],
+        ["verify-lemma33", "--construction-max", "64"],
         ["verify-h1", "--max-m", "6"],
-        ["--budget", "8", "verify-all"],
+        ["verify-all"],
     ],
     ids=lambda argv: "-".join(a for a in argv if a[0].isalpha()),
 )
@@ -570,6 +594,16 @@ def test_repeated_calls_out_file_then_stdout(argv, tmp_path, capsys):
 def test_unwritable_out_exits_2_without_a_traceback(where, tmp_path, capsys):
     target = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
     code, out, err = run(["euler", "--arch", "1", "--out", str(target)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_svg_exits_2_without_a_traceback(where, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg" if where == "missing-dir" else tmp_path
+    code, out, err = run(["figure", "0", "1", "--svg", str(target)], capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")

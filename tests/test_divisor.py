@@ -211,6 +211,11 @@ def test_ceil_prime_on_degree_values():
     assert dv.ceil_prime(dv.DegreeValue(Fraction(0), ((3, -1),))) == -2
 
 
+@hypothesis.given(degree_values.filter(lambda value: not value.is_rational))
+def test_ceil_prime_on_log_term_degrees_decides_by_the_floor(value):
+    assert dv.ceil_prime(value) == value.floor() + (value.sign() >= 0)
+
+
 # ---------------------------------------------------------------------------
 # divisors
 # ---------------------------------------------------------------------------

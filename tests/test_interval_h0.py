@@ -179,17 +179,19 @@ def test_min_search_anomalous_a2():
 
 
 def test_min_search_all_minima_small():
-    options = interval_h0.SearchOptions(report_all_minima=True)
-    assert interval_h0.min_generating_set(1, options).all_minima == ((-1, 1),)
-    minima = interval_h0.min_generating_set(2, options).all_minima
+    assert interval_h0.min_generating_set(1, report_all_minima=True).all_minima == ((-1, 1),)
+    minima = interval_h0.min_generating_set(2, report_all_minima=True).all_minima
     assert minima == ((-2, -1, 2), (-2, 1, 2))
     for gens in minima:
         assert interval_h0.covers(gens, 2)
 
 
 def test_min_search_budget_cap():
-    with pytest.raises(SizeCapError):
-        interval_h0.min_generating_set(5, interval_h0.SearchOptions(budget=4))
+    # one fixed cap: a = 64 is refused before any search, with or without --all
+    assert interval_h0.SEARCH_CAP == 63
+    for report_all_minima in (False, True):
+        with pytest.raises(SizeCapError, match="capped at a = 63"):
+            interval_h0.min_generating_set(64, report_all_minima=report_all_minima)
 
 
 def oracle_minima(a):
@@ -219,10 +221,10 @@ def test_min_search_first_witness_matches_combination_oracle():
 
 
 def test_min_search_all_minima_match_combination_oracle():
-    options = interval_h0.SearchOptions(report_all_minima=True)
     for a in range(1, 9):
         expected = oracle_minima(a)
-        assert interval_h0.min_generating_set(a, options).all_minima == tuple(expected), a
+        minima = interval_h0.min_generating_set(a, report_all_minima=True).all_minima
+        assert minima == tuple(expected), a
 
 
 def test_package_import_leaves_the_process_pool_unloaded():
@@ -241,18 +243,14 @@ def test_package_import_leaves_the_process_pool_unloaded():
 def test_min_search_without_pruning_agrees():
     for a in (1, 2, 3, 4, 5):
         pruned = interval_h0.min_generating_set(a)
-        plain = interval_h0.min_generating_set(
-            a, interval_h0.SearchOptions(prune=False)
-        )
+        plain = interval_h0.min_generating_set(a, prune=False)
         assert (pruned.size, pruned.witness) == (plain.size, plain.witness)
 
 
 def test_min_search_without_pruning_agrees_on_all_minima():
     for a in range(1, 10):
         pruned, plain = (
-            interval_h0.min_generating_set(
-                a, interval_h0.SearchOptions(report_all_minima=True, prune=prune)
-            ).all_minima
+            interval_h0.min_generating_set(a, report_all_minima=True, prune=prune).all_minima
             for prune in (True, False)
         )
         assert pruned == plain, a
@@ -286,9 +284,8 @@ def test_min_search_first_witnesses_match_the_pinned_ones():
 
 
 def test_min_search_all_minima_counts_match_the_pinned_ones():
-    options = interval_h0.SearchOptions(report_all_minima=True)
     for a, count in ((16, 460), (20, 266)):
-        minima = interval_h0.min_generating_set(a, options).all_minima
+        minima = interval_h0.min_generating_set(a, report_all_minima=True).all_minima
         assert len(minima) == count, a
         assert minima[0] == PINNED_FIRST_WITNESSES[a]
 
