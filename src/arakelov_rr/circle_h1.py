@@ -209,7 +209,7 @@ def dim_h1(deg2) -> int:
     if isinstance(deg2, bool) or isinstance(deg2, float):
         raise DomainError("degree must be an exact rational or degree carrier")
     if isinstance(deg2, (int, Fraction)):
-        fl = math.floor(Fraction(deg2))
+        fl = deg2.numerator // deg2.denominator
     else:
         fl = deg2.floor()
     return max(0, -fl - 1)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or an input
-past a size cap, 3 precision exhausted.  All numeric input is parsed
+past a size cap, 3 precision exhausted, 4 internal error (a bug, reported
+in one line).  All numeric input is parsed
 exactly: integers, fractions like -5/2, and decimal strings like 2.5
 (never binary floats).
 
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 #: Degree magnitudes beyond this would materialize astronomically wide
 #: integers in floor(2**deg2); refuse them at the door (for euler, the
@@ -465,6 +467,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Exit 1 means a verification failed; anything else is a bug.
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 

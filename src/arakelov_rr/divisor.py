@@ -45,11 +45,11 @@ Rational = Union[int, Fraction]
 
 
 def _checked_rational(value, what: str) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise DomainError(f"{what} must be an exact rational, not {value!r}")
-    if isinstance(value, str):
-        value = Fraction(value)
-    if not isinstance(value, (int, Fraction)):
+    if not isinstance(value, (int, str)):
         raise DomainError(f"{what} must be an exact rational, got {value!r}")
     return Fraction(value)
 
@@ -184,7 +184,8 @@ def ceil_prime(x) -> int:
     if isinstance(x, DegreeValue):
         k = x.floor()
     else:
-        k = math.floor(_checked_rational(x, "argument"))
+        x = _checked_rational(x, "argument")
+        k = x.numerator // x.denominator
     return k + 1 if k >= 0 else k
 
 
@@ -270,15 +271,20 @@ def euler_characteristic(
     divisor.
     """
     deg = divisor.deg2(precision_bits)
-    h0 = dim_h0(deg if not deg.is_rational else deg.rational_part)
-    h1 = dim_h1(deg if not deg.is_rational else deg.rational_part)
+    x = deg.rational_part if deg.is_rational else deg
+    h0, h1 = dim_h0(x), dim_h1(x)
     chi = h0 - h1
-    rhs = ceil_prime(deg if not deg.is_rational else deg.rational_part) + 1
+    rhs = ceil_prime(x) + 1
     if chi != rhs:
         raise FormulaViolation(
             f"chi = {h0} - {h1} = {chi} but step formula gives {rhs} at degree {deg}"
         )
     return EulerCharacteristic(h0=h0, h1=h1, chi=chi, step_value=rhs, deg2=deg)
+
+
+def _times(x: Fraction, d: int) -> int:
+    """x * d, for d a multiple of x's denominator."""
+    return x.numerator * (d // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -316,22 +322,17 @@ def rr_scan(lo, hi, step) -> ScanReport:
     integers = max(0, math.floor(hi) - math.ceil(lo) + 1)
     if math.floor((hi - lo) / step) + 1 + 3 * integers > MAX_SCAN_POINTS:
         raise SizeCapError(f"scan capped at {MAX_SCAN_POINTS} grid points and integer probes")
-    points = set()
-    x = lo
-    while x <= hi:
-        points.add(x)
-        x += step
     probe = min(step, Fraction(1)) / 16
-    n = math.ceil(lo)
-    while n <= hi:
-        points.add(Fraction(n))
-        for side in (Fraction(n) - probe, Fraction(n) + probe):
-            if lo <= side <= hi:
-                points.add(side)
-        n += 1
+    # Every point is y/d for an int y, so the points are built and sorted as ints.
+    d = math.lcm(lo.denominator, hi.denominator, step.denominator, probe.denominator)
+    low, high, stride, offset = (_times(v, d) for v in (lo, hi, step, probe))
+    ys = set(range(low, high + 1, stride))
+    for n in range(math.ceil(lo) * d, high + 1, d):
+        ys.update(y for y in (n - offset, n, n + offset) if low <= y <= high)
     rows = []
     violations = []
-    for x in sorted(points):
+    for y in sorted(ys):
+        x = Fraction(y, d)
         h0 = dim_h0(x)
         h1 = dim_h1(x)
         chi = h0 - h1
@@ -364,12 +365,9 @@ def figure_data(lo, hi, samples_per_unit: int = 16) -> StepFunctionSeries:
         raise DomainError("samples_per_unit must be a positive int")
     if math.floor((hi - lo) * samples_per_unit) + 1 > MAX_FIGURE_SAMPLES:
         raise SizeCapError(f"figure capped at {MAX_FIGURE_SAMPLES} samples")
-    step = Fraction(1, samples_per_unit)
-    samples = []
-    x = lo
-    while x <= hi:
-        samples.append((x, ceil_prime(x)))
-        x += step
+    d = math.lcm(lo.denominator, hi.denominator, samples_per_unit)
+    xs = (Fraction(y, d) for y in range(_times(lo, d), _times(hi, d) + 1, d // samples_per_unit))
+    samples = [(x, ceil_prime(x)) for x in xs]
     jumps = tuple(
         Fraction(n) for n in range(math.floor(lo) + 1, math.floor(hi) + 1)
     )

@@ -63,17 +63,11 @@ def nth_root_floor(n: int, k: int) -> int:
 
 
 def nth_root_floor_fraction(q: Fraction, k: int) -> int:
-    """Largest integer t >= 0 with t**k <= q, for q >= 0, k >= 1."""
-    if q < 0:
+    """Largest integer t >= 0 with t**k <= q, for rational q >= 0, k >= 1."""
+    if q.numerator < 0:
         raise ValueError("q must be nonnegative")
-    # floor((num/den)^(1/k)) == floor(floor(num/den)^(1/k)) for integers t:
-    # t^k <= num/den iff t^k <= floor(num/den) since t^k is an integer.
-    t = nth_root_floor(q.numerator // q.denominator, k)
-    while (t + 1) ** k * q.denominator <= q.numerator:
-        t += 1
-    while t > 0 and t ** k * q.denominator > q.numerator:
-        t -= 1
-    return t
+    # t**k is an integer, so t**k <= num/den exactly when t**k <= num // den.
+    return nth_root_floor(q.numerator // q.denominator, k)
 
 
 #: Entries kept by the log2_bounds cache.  Refinement reuses the few
@@ -244,8 +238,9 @@ def materialize_or_bracket(
 
 def floor_pow2_rational(q: Fraction) -> int:
     """Integer part of 2**q for rational q >= 0 (DomainError below 0)."""
-    q = Fraction(q)
-    if q < 0:
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    if q.numerator < 0:
         raise DomainError("exponent must be nonnegative")
     k = q.numerator // q.denominator
     return materialize_or_bracket(k, q, (), lambda bits: (q, q), COMPARE_BITS_CAP, q)

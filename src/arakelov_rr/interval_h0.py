@@ -373,10 +373,9 @@ def dim_h0(deg2) -> int:
     if isinstance(deg2, bool) or isinstance(deg2, float):
         raise DomainError("degree must be an exact rational or degree carrier")
     if isinstance(deg2, (int, Fraction)):
-        x = Fraction(deg2)
-        if x < 0:
+        if deg2.numerator < 0:
             return 0
-        return floor_pow2_rational(x).bit_length() + 1
+        return floor_pow2_rational(deg2).bit_length() + 1
     if deg2.sign() < 0:
         return 0
     return deg2.floor_pow2().bit_length() + 1

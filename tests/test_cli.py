@@ -608,3 +608,17 @@ def test_unwritable_svg_exits_2_without_a_traceback(where, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_4_in_one_line(monkeypatch, capsys):
+    # exit 1 is kept for a verification that found a failure; a bug in a
+    # handler is reported as an internal error, on one line, with no traceback
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "euler_characteristic", broken)
+    code, out, err = run(["euler", "--arch", "1"], capsys)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
+    assert "Traceback" not in err

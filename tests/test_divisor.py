@@ -413,6 +413,67 @@ def test_rr_scan_argument_errors():
         dv.rr_scan(0.0, 1, Fraction(1, 2))
 
 
+def walked_scan_points(lo, hi, step):
+    """The points of rr_scan, by the Fraction walk it once took: lo, lo +
+    step, ... up to hi, each integer in range, and the probes min(step, 1)/16
+    to either side of an integer that stay in range, sorted."""
+    points = set()
+    x = lo
+    while x <= hi:
+        points.add(x)
+        x += step
+    probe = min(step, Fraction(1)) / 16
+    n = math.ceil(lo)
+    while n <= hi:
+        points.add(Fraction(n))
+        for side in (Fraction(n) - probe, Fraction(n) + probe):
+            if lo <= side <= hi:
+                points.add(side)
+        n += 1
+    return sorted(points)
+
+
+def walked_figure_points(lo, hi, samples_per_unit):
+    """The sample points of figure_data, by the Fraction walk it once took."""
+    points = []
+    x = lo
+    while x <= hi:
+        points.append(x)
+        x += Fraction(1, samples_per_unit)
+    return points
+
+
+grid_ends = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+grid_steps = st.fractions(min_value=Fraction(1, 12), max_value=3, max_denominator=12)
+
+
+@hypothesis.given(grid_ends, grid_ends, grid_steps)
+@hypothesis.example(Fraction(1, 3), Fraction(1, 3), Fraction(1))  # lo == hi
+@hypothesis.example(Fraction(5), Fraction(5), Fraction(1, 4))  # one integer, no probes
+@hypothesis.example(Fraction(-9, 2), Fraction(-1, 3), Fraction(2, 3))  # negative range
+@hypothesis.example(Fraction(-7, 3), Fraction(17, 5), Fraction(5, 2))  # step above 1
+@hypothesis.example(Fraction(-1, 6), Fraction(11, 4), Fraction(3, 8))  # hi off the grid
+def test_rr_scan_points_match_the_fraction_walk(a, b, step):
+    lo, hi = min(a, b), max(a, b)
+    xs = [row.deg2 for row in dv.rr_scan(lo, hi, step).rows]
+    assert xs == walked_scan_points(lo, hi, step)
+    assert all(type(x) is Fraction for x in xs)
+
+
+@hypothesis.given(grid_ends, grid_ends, st.integers(1, 24))
+@hypothesis.example(Fraction(-9, 2), Fraction(-1, 3), 3)  # negative range
+@hypothesis.example(Fraction(-1, 6), Fraction(11, 4), 8)  # hi off the grid
+@hypothesis.example(Fraction(1, 7), Fraction(2, 7), 1)  # one sample
+def test_figure_data_samples_match_the_fraction_walk(a, b, samples_per_unit):
+    hypothesis.assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    series = dv.figure_data(lo, hi, samples_per_unit)
+    xs = [x for x, _ in series.samples]
+    assert xs == walked_figure_points(lo, hi, samples_per_unit)
+    assert all(type(x) is Fraction for x in xs)
+    assert [value for _, value in series.samples] == [dv.ceil_prime(x) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # figure series and emitters
 # ---------------------------------------------------------------------------

@@ -75,6 +75,28 @@ def test_nth_root_floor_fraction_defining_inequality(q, n):
     assert (r + 1) ** n * q.denominator > q.numerator
 
 
+@hypothesis.given(wide_ints(4_000), st.integers(1, 2 ** 64), st.integers(1, 14))
+def test_nth_root_floor_fraction_defining_inequality_wide(num, den, n):
+    # numerators wide enough for the seeded Newton path of nth_root_floor
+    q = Fraction(num, den)
+    r = exact.nth_root_floor_fraction(q, n)
+    assert r ** n * q.denominator <= q.numerator
+    assert (r + 1) ** n * q.denominator > q.numerator
+
+
+@hypothesis.given(st.integers(0, 10 ** 30) | wide_ints(4_000), st.integers(1, 12))
+def test_nth_root_floor_fraction_of_an_integer(q, n):
+    # an int is a rational of denominator 1
+    r = exact.nth_root_floor_fraction(q, n)
+    assert r ** n <= q < (r + 1) ** n
+
+
+def test_nth_root_floor_fraction_refuses_a_negative_argument():
+    for q in (-1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            exact.nth_root_floor_fraction(q, 3)
+
+
 @hypothesis.given(
     st.integers(0, 400),
     st.lists(
