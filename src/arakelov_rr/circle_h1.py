@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import DomainError, OutOfRangeError, SizeCapError
 
 #: Cap on exhaustive subset-sum enumeration (2**m sums).
@@ -147,7 +147,7 @@ def lower_bound_cardinality(lam) -> int:
     return k
 
 
-@dataclass(frozen=True)
+@record
 class CircleCertificate:
     """Exact audit of the family F(m) at its critical coarsening."""
 
@@ -157,7 +157,7 @@ class CircleCertificate:
     sum_count: int
     sums_are_dyadic_grid: bool
     covering: Fraction
-    separation: Optional[Fraction]
+    separation: Fraction | None
     cardinality_bound: int
     generating: bool
 

@@ -261,7 +261,11 @@ def cmd_scan(args):
 
 
 def cmd_figure(args):
-    series = figure_data(args.lo, args.hi, samples_per_unit=args.samples_per_unit)
+    series = figure_data(
+        _check_degree_magnitude(args.lo),
+        _check_degree_magnitude(args.hi),
+        samples_per_unit=args.samples_per_unit,
+    )
     if args.svg:
         _write_text(args.svg, series_to_svg(series))
     if args.output_format == "csv":

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
 
+from ._record import record
 from .circle_h1 import dim_h1
 from .errors import DomainError, FormulaViolation, SizeCapError
 from .exact import (
@@ -41,7 +41,7 @@ MAX_SCAN_POINTS = 10_000
 #: Most samples one figure_data series holds.
 MAX_FIGURE_SAMPLES = 100_000
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 def _checked_rational(value, what: str) -> Fraction:
@@ -54,7 +54,7 @@ def _checked_rational(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@record
 class DegreeValue:
     """Exact degree in log2 units: a rational plus odd-prime log2 terms.
 
@@ -115,7 +115,7 @@ class DegreeValue:
             diff = self.rational_part - other
             return (diff > 0) - (diff < 0)
 
-        def step(bits: int) -> Optional[int]:
+        def step(bits: int) -> int | None:
             lo, hi = self.bounds(bits)
             if lo > other:
                 return 1
@@ -131,7 +131,7 @@ class DegreeValue:
         if self.is_rational:
             return math.floor(self.rational_part)
 
-        def step(bits: int) -> Optional[int]:
+        def step(bits: int) -> int | None:
             lo, hi = self.bounds(bits)
             k = math.floor(lo)
             return k if k == math.floor(hi) else None
@@ -189,7 +189,7 @@ def ceil_prime(x) -> int:
     return k + 1 if k >= 0 else k
 
 
-@dataclass(frozen=True)
+@record
 class ArakelovDivisor:
     """Finite places with integer multiplicities plus an archimedean
     coefficient, the latter already in log2 units."""
@@ -218,7 +218,7 @@ class ArakelovDivisor:
 
     @classmethod
     def from_places(
-        cls, places: Union[Mapping[int, int], Iterable[tuple[int, int]]], arch: Rational = 0
+        cls, places: Mapping[int, int] | Iterable[tuple[int, int]], arch: Rational = 0
     ) -> "ArakelovDivisor":
         items = places.items() if isinstance(places, Mapping) else places
         return cls(finite_part=tuple(items), archimedean_log2=arch)
@@ -250,7 +250,7 @@ class ArakelovDivisor:
         return DegreeValue(rational, tuple(terms), precision_bits)
 
 
-@dataclass(frozen=True)
+@record
 class EulerCharacteristic:
     """The two dimensions and both sides of the identity at one divisor."""
 
@@ -287,7 +287,7 @@ def _times(x: Fraction, d: int) -> int:
     return x.numerator * (d // x.denominator)
 
 
-@dataclass(frozen=True)
+@record
 class ScanRow:
     deg2: Fraction
     h0: int
@@ -296,7 +296,7 @@ class ScanRow:
     step_value: int
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     rows: tuple[ScanRow, ...]
     violations: tuple[Fraction, ...]
@@ -337,13 +337,13 @@ def rr_scan(lo, hi, step) -> ScanReport:
         h1 = dim_h1(x)
         chi = h0 - h1
         rhs = ceil_prime(x) + 1
-        rows.append(ScanRow(deg2=x, h0=h0, h1=h1, chi=chi, step_value=rhs))
+        rows.append(ScanRow(x, h0, h1, chi, rhs))
         if chi != rhs:
             violations.append(x)
     return ScanReport(rows=tuple(rows), violations=tuple(violations))
 
 
-@dataclass(frozen=True)
+@record
 class StepFunctionSeries:
     """Sampled graph of chi - 1 (the primed ceiling) against the degree."""
 

@@ -8,9 +8,9 @@ enclosures are honest intervals: directed rounding throughout, so
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
 
 from .errors import DomainError, PrecisionError, SizeCapError
 
@@ -120,7 +120,7 @@ def log2_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
 REFINE_START_BITS = 32
 
 
-def refine(step: Callable[[int], Optional[int]], cap: int, describe: Callable[[], str]) -> int:
+def refine(step: Callable[[int], int | None], cap: int, describe: Callable[[], str]) -> int:
     """The first answer of step(bits) at bits = 32, 64, 128, ..., up to cap.
 
     ``step`` returns None while enclosures about 2**-bits wide do not
@@ -157,7 +157,7 @@ def compare_to_log2(bounds: Enclosure, t: int, cap: int, name) -> int:
     (a rational x is the enclosure (x, x)).  A tie is decided only when
     both sides are exact; a PrecisionError names x as ``name``."""
 
-    def step(bits: int) -> Optional[int]:
+    def step(bits: int) -> int | None:
         (lo, hi), (tlo, thi) = bounds(bits), log2_bounds(t, bits)
         if lo > thi:
             return 1

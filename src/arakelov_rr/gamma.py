@@ -10,13 +10,13 @@ lives here together with a linear-time shortcut for symmetric intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
 
+from ._record import record
 from .errors import DomainError, LevelMismatchError, SizeCapError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 #: Image value that sends an element to the base point.
 BASEPOINT = 0
@@ -35,7 +35,7 @@ def _checked_scalar(value: Scalar) -> Scalar:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class PointedMap:
     """A base-point preserving map from the pointed set k+ to m+.
 
@@ -90,16 +90,14 @@ class PointedMap:
         return PointedMap(other.source_size, self.target_size, image)
 
 
-@dataclass(frozen=True)
+@record
 class PointedVector:
     """An element of the level-k module: a k-tuple of exact scalars."""
 
     entries: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(_checked_scalar(e) for e in self.entries)
-        )
+        _set_entries(self, tuple(_checked_scalar(e) for e in self.entries))
 
     @property
     def level(self) -> int:
@@ -112,10 +110,14 @@ class PointedVector:
         return sum(self.entries, EMPTY_SUM)
 
 
+#: Sets a vector's entries past the frozen __setattr__ (the slot's own setter).
+_set_entries = PointedVector.entries.__set__
+
+
 def _unchecked(entries: tuple[Scalar, ...]) -> PointedVector:
     """A vector of scalars built from checked ones: skips __post_init__."""
     x = object.__new__(PointedVector)
-    object.__setattr__(x, "entries", entries)
+    _set_entries(x, entries)
     return x
 
 
@@ -124,7 +126,7 @@ def vector(*entries: Scalar) -> PointedVector:
     return PointedVector(tuple(entries))
 
 
-@dataclass(frozen=True)
+@record
 class SubsetSpec:
     """A subset of the scalar line used to constrain subset sums.
 
@@ -134,8 +136,8 @@ class SubsetSpec:
     """
 
     kind: str
-    bound: Optional[Scalar] = None
-    members: Optional[frozenset] = None
+    bound: Scalar | None = None
+    members: frozenset | None = None
 
     @classmethod
     def symmetric(cls, bound: Scalar) -> "SubsetSpec":
@@ -258,7 +260,7 @@ def smash_action(alpha: PointedVector, a: PointedVector) -> PointedVector:
     return _unchecked(tuple(ai * aj for ai in alpha.entries for aj in a.entries))
 
 
-def sum_witness(parts: Sequence[Scalar], subset: SubsetSpec) -> Optional[PointedVector]:
+def sum_witness(parts: Sequence[Scalar], subset: SubsetSpec) -> PointedVector | None:
     """Exhibit sum(parts) as a sum inside the subset-constrained module.
 
     The tuple of parts is itself the witness: its fold image is the total

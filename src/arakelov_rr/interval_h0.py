@@ -15,10 +15,10 @@ resulting dimension formula for nonnegative degrees.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import DomainError, OutOfRangeError, SizeCapError
 from .exact import floor_pow2_rational
 from .gamma import EMPTY_SUM
@@ -103,7 +103,7 @@ def covers(generators: Iterable[int], a: int) -> bool:
     return _coverage(_reachable(gs, a), a) == (1 << (2 * a + 1)) - 1
 
 
-def first_unrealizable(generators: Iterable[int], a: int) -> Optional[int]:
+def first_unrealizable(generators: Iterable[int], a: int) -> int | None:
     """Smallest j in [-a, a] with no admissible witness, or None."""
     a = _checked_bound(a)
     gs = _checked_generators(generators, a)
@@ -136,7 +136,7 @@ def _completable(states: dict[int, int], j: int, p: int, q: int, a: int) -> bool
 
 def _realize_greedy(
     j: int, gs: Sequence[int], a: int, suffix: Sequence[dict[int, int]]
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     if not _completable(suffix[0], j, 0, 0, a):
         return None
     chosen: list[int] = []
@@ -154,7 +154,7 @@ def _realize_greedy(
     return tuple(chosen)
 
 
-def realize(j: int, generators: Iterable[int], a: int) -> Optional[tuple[int, ...]]:
+def realize(j: int, generators: Iterable[int], a: int) -> tuple[int, ...] | None:
     """An admissible subset of generators summing to j, or None.
 
     Among all witnesses, returns the one least in indicator order over
@@ -168,13 +168,13 @@ def realize(j: int, generators: Iterable[int], a: int) -> Optional[tuple[int, ..
     return _realize_greedy(j, gs, a, _suffix_states(gs, a))
 
 
-@dataclass(frozen=True, eq=True)
+@record(unhashed=("witnesses",))
 class GeneratingCertificate:
     """A generating set with one admissible witness per target."""
 
     a: int
     generators: tuple[int, ...]
-    witnesses: dict[int, tuple[int, ...]] = field(hash=False)
+    witnesses: dict[int, tuple[int, ...]]
 
     def validate(self) -> bool:
         """Recheck every witness independently of how it was found."""
@@ -190,7 +190,7 @@ class GeneratingCertificate:
         return True
 
 
-def generates(generators: Iterable[int], a: int) -> Optional[GeneratingCertificate]:
+def generates(generators: Iterable[int], a: int) -> GeneratingCertificate | None:
     """Certificate with witnesses for all of [-a, a], or None if any target fails."""
     a = _checked_bound(a)
     gs = _checked_generators(generators, a)
@@ -258,12 +258,12 @@ def lower_bound_size(a: int) -> int:
     return (2 * _checked_bound(a)).bit_length()
 
 
-@dataclass(frozen=True, eq=True)
+@record(unhashed=("certificate",))
 class MinSearchResult:
     size: int
     witness: tuple[int, ...]
-    certificate: GeneratingCertificate = field(hash=False)
-    all_minima: Optional[tuple[tuple[int, ...], ...]] = None
+    certificate: GeneratingCertificate
+    all_minima: tuple[tuple[int, ...], ...] | None = None
 
 
 def _search_level(

@@ -7,10 +7,10 @@ from the alternating sequence j(n) = 0, 0, 1, -2, 5, -10, 21, -42, ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from ._record import record
 from .errors import OutOfRangeError, SizeCapError
 
 #: Cap on exhaustive verification: 2**n words, held as a bitset of 2**n bits.
@@ -42,7 +42,7 @@ def j_value_closed_form(n: int) -> int:
     return value.numerator
 
 
-@dataclass(frozen=True)
+@record
 class DeltaInterval:
     """The window of 2**n consecutive integers realizable at width n."""
 
@@ -70,7 +70,7 @@ def delta_interval(n: int) -> DeltaInterval:
     return DeltaInterval(n=n, lo=lo, hi=lo + 2 ** n - 1)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NegabinaryWord:
     """A digit word, little-endian: digits[i] weighs (-2)**i."""
 
@@ -129,7 +129,7 @@ def encode(q: int, n: int) -> NegabinaryWord:
     return word
 
 
-@dataclass(frozen=True)
+@record
 class BijectionReport:
     """Outcome of exhaustively decoding every width-n word."""
 

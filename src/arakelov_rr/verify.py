@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import circle_h1, gamma, interval_h0, negabinary
@@ -39,11 +38,13 @@ def _check_suite_bound(name: str, value: int, cap: int) -> None:
         raise OutOfRangeError(f"{name} must lie in 1..{cap} (got {value})")
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """The checks one suite ran and the messages of those that failed."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

@@ -288,6 +288,23 @@ def test_figure_empty_range_rejected(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("svg", [False, True])
+def test_figure_refuses_ends_past_the_degree_cap(svg, tmp_path, capsys):
+    # as scan does: with --svg these ends overflowed a float (exit 4), and
+    # without it figure printed a table for them
+    lo = 10 ** 400
+    target = tmp_path / "steps.svg"
+    argv = ["figure", str(lo), str(lo + 1)] + (["--svg", str(target)] if svg else [])
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: degree magnitude capped at {cli.MAX_DEGREE_MAGNITUDE} (got {lo})\n"
+    assert not target.exists()
+    cap = cli.MAX_DEGREE_MAGNITUDE
+    argv = ["figure", str(-cap), str(1 - cap), "--samples-per-unit", "1"]
+    assert run(argv + (["--svg", str(target)] if svg else []), capsys)[0] == cli.EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # negabinary
 # ---------------------------------------------------------------------------
