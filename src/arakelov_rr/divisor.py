@@ -24,6 +24,7 @@ from .circle_h1 import dim_h1
 from .errors import DomainError, FormulaViolation, SizeCapError
 from .exact import (
     REFINE_START_BITS,
+    _checked_rational,
     floor_pow2_rational,
     is_prime,
     log2_bounds,
@@ -42,16 +43,6 @@ MAX_SCAN_POINTS = 10_000
 MAX_FIGURE_SAMPLES = 100_000
 
 Rational = int | Fraction
-
-
-def _checked_rational(value, what: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise DomainError(f"{what} must be an exact rational, not {value!r}")
-    if not isinstance(value, (int, str)):
-        raise DomainError(f"{what} must be an exact rational, got {value!r}")
-    return Fraction(value)
 
 
 @record

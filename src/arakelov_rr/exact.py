@@ -19,23 +19,29 @@ Enclosure = Callable[[int], tuple[Fraction, Fraction]]
 
 
 def nth_root_floor(n: int, k: int) -> int:
-    """Largest integer t with t**k <= n, for n >= 0, k >= 1.
+    """Largest integer t with t**k <= n, for ints n >= 0, k >= 1.
 
-    Square roots come from ``math.isqrt``.  Other roots use precision
-    doubling: the root of n with its low k*s bits dropped, plus one and
-    shifted left by s, overestimates the root with about half its bits
-    right, so a single full-width Newton step lands on it or one above,
-    and the closing loops certify t**k <= n < (t+1)**k.  Roots too
+    An even index is halved by ``math.isqrt`` until it is odd: for an
+    int t, t**m <= isqrt(n) exactly when t**(2m) <= n.  Odd roots use
+    precision doubling: the root of n with its low k*s bits dropped, plus
+    one and shifted left by s, overestimates the root with about half its
+    bits right, so a single full-width Newton step lands on it or one
+    above, and the closing loops certify t**k <= n < (t+1)**k.  Roots too
     narrow to split that way (a few bits more than log2(k)) are bisected.
+    Arguments other than ints (a bool or float included) raise ValueError.
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("root arguments must be ints")
     if k < 1:
         raise ValueError("root index must be >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    even = k & -k  # the largest power of two dividing k
+    for _ in range(even.bit_length() - 1):
+        n = math.isqrt(n)
+    k //= even
     if k == 1 or n in (0, 1):
         return n
-    if k == 2:
-        return math.isqrt(n)
     bits = n.bit_length()
     # Newton from x = t(1 + e) overshoots by at most (k-1)/2 * t * e**2,
     # with t*e <= 2**s; the guard bits keep that below one half.
@@ -203,6 +209,8 @@ def materialize_or_bracket(
     2**alpha * prod(p**(m * beta)).  Past MATERIALIZE_CAP_BITS an integer
     x is refused; any other x makes 2**x irrational and is bracketed by
     log2 comparisons refined up to ``cap`` bits.  Errors name x as ``name``.
+    Under the cap only log-term degrees come here: floor_pow2_rational
+    takes a rational's root itself.
 
     A ratio whose denominator alone would pass the cap is bracketed too,
     when beta > 1 (so 2**x is irrational: alpha/beta is in lowest terms
@@ -236,14 +244,31 @@ def materialize_or_bracket(
     return bracket()
 
 
+def _checked_rational(value, what: str) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or isinstance(value, float):
+        raise DomainError(f"{what} must be an exact rational, not {value!r}")
+    if not isinstance(value, (int, str)):
+        raise DomainError(f"{what} must be an exact rational, got {value!r}")
+    return Fraction(value)
+
+
 def floor_pow2_rational(q: Fraction) -> int:
-    """Integer part of 2**q for rational q >= 0 (DomainError below 0)."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    if q.numerator < 0:
+    """Integer part of 2**q for an exact rational q >= 0 (an int, Fraction
+    or string); DomainError below 0 and for anything else.
+
+    Under MATERIALIZE_CAP_BITS that is the b-th root of 2**a for q = a/b,
+    taken from the ints; past it, materialize_or_bracket refuses an
+    integer q and brackets any other.
+    """
+    q = _checked_rational(q, "exponent")
+    a, b = q.numerator, q.denominator
+    if a < 0:
         raise DomainError("exponent must be nonnegative")
-    k = q.numerator // q.denominator
-    return materialize_or_bracket(k, q, (), lambda bits: (q, q), COMPARE_BITS_CAP, q)
+    if (a // b + 2) * b <= MATERIALIZE_CAP_BITS:
+        return nth_root_floor(1 << a, b)
+    return materialize_or_bracket(a // b, q, (), lambda bits: (q, q), COMPARE_BITS_CAP, q)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

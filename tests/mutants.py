@@ -1,0 +1,163 @@
+"""Mutants of the package that the test suite must catch.
+
+Run from anywhere, with the test requirements installed:
+
+    python tests/mutants.py
+
+Each mutant names a module under ``src/arakelov_rr``, a source fragment
+that occurs there exactly once, its replacement, and the test node ids
+that must fail once it is applied.  Every run copies ``src/``, ``tests/``
+and ``pyproject.toml`` into a temporary directory and runs tests there in
+a subprocess with PYTHONPATH set to the copy; the checkout, its
+hypothesis database included, is never written.  First the named tests
+of all mutants run once on an unmutated copy: they must pass within a
+quarter of TIMEOUT_S, or no verdict could be trusted.  Then each mutant
+gets its own copy with its one swap applied, and it is caught when its
+tests fail (or hang past TIMEOUT_S).  The exit status is 1 unless every
+mutant is caught, and 2 when a fragment does not occur exactly once or
+the unmutated run does not pass in time.
+
+This file is not collected by pytest.  ``tests/test_mutants.py`` checks
+only that every fragment still occurs exactly once, so the list has to
+follow the code; a change that deletes a mutant's code deletes the mutant.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Wall-clock bound on one mutant's test run; a run that hangs is caught.
+TIMEOUT_S = 60
+
+#: Runs pytest with hypothesis stopping at its first failing example:
+#: shrinking and explaining it would only delay the verdict, by up to a
+#: minute on the wide-int strategies.
+RUNNER = """
+import sys, hypothesis, pytest
+phases = (hypothesis.Phase.explicit, hypothesis.Phase.reuse, hypothesis.Phase.generate)
+hypothesis.settings.register_profile("mutants", phases=phases)
+hypothesis.settings.load_profile("mutants")
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    fragment: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+EXACT_ROOTS = (
+    "tests/test_exact.py::test_nth_root_floor_takes_one_isqrt_per_factor_of_two",
+    "tests/test_exact.py::test_nth_root_floor_even_indices",
+)
+
+MUTANTS = (
+    Mutant(
+        "isqrt-halves-once-too-often",
+        "exact.py",
+        "for _ in range(even.bit_length() - 1):",
+        "for _ in range(even.bit_length()):",
+        EXACT_ROOTS,
+    ),
+    Mutant(
+        "isqrt-halves-once-too-few",
+        "exact.py",
+        "for _ in range(even.bit_length() - 1):",
+        "for _ in range(even.bit_length() - 2):",
+        EXACT_ROOTS,
+    ),
+    Mutant(
+        "closing-loop-steps-down-on-equality",
+        "exact.py",
+        "while x ** k > n:",
+        "while x ** k >= n:",
+        ("tests/test_exact.py::test_nth_root_floor_newton_lands_on_the_root_or_one_above",),
+    ),
+    Mutant(
+        "bisection-misses-exact-powers",
+        "exact.py",
+        "if mid ** k <= n:",
+        "if mid ** k < n:",
+        ("tests/test_exact.py::test_nth_root_floor_exact_powers",),
+    ),
+    Mutant(
+        "rational-root-of-half-the-power",
+        "exact.py",
+        "return nth_root_floor(1 << a, b)",
+        "return nth_root_floor(1 << (a - 1), b)",
+        (
+            "tests/test_exact.py::test_floor_pow2_rational_under_the_cap_takes_the_root_from_ints",
+            "tests/test_divisor.py::test_rr_scan_h0_is_the_bit_length_of_the_exact_root",
+        ),
+    ),
+)
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's fragment occurs in its module."""
+    return (ROOT / "src" / "arakelov_rr" / mutant.module).read_text().count(mutant.fragment)
+
+
+def run(tests: list[str], mutant: Mutant | None = None) -> tuple[int | None, float, str]:
+    """Run the tests in a fresh copy of the tree, with the mutant's swap
+    applied if one is given: (pytest's exit status, or None when the run
+    passed TIMEOUT_S; seconds; the tail of its output)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if mutant is not None:
+            path = copy / "src" / "arakelov_rr" / mutant.module
+            path.write_text(path.read_text().replace(mutant.fragment, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-c", RUNNER, "-q", "-x", "-p", "no:cacheprovider", *tests]
+        t0 = time.perf_counter()
+        try:
+            done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, time.perf_counter() - t0, ""
+        output = done.stdout.decode()[-2000:] + "\n" + done.stderr.decode()[-2000:]
+        return done.returncode, time.perf_counter() - t0, output
+
+
+def main() -> int:
+    misplaced = [m.name for m in MUTANTS if occurrences(m) != 1]
+    if misplaced:
+        print(f"fragments not found exactly once: {misplaced}")
+        return 2
+    t0 = time.perf_counter()
+    tests = list(dict.fromkeys(node for m in MUTANTS for node in m.tests))
+    status, seconds, output = run(tests)
+    if status != 0 or seconds > TIMEOUT_S / 4:
+        print(output)
+        print(f"the named tests must pass unmutated within {TIMEOUT_S / 4:.0f}s: "
+              f"exit status {status} after {seconds:.1f}s")
+        return 2
+    print(f"{'passed':8}  {seconds:6.1f}s  {len(tests)} named tests, unmutated", flush=True)
+    caught = 0
+    for mutant in MUTANTS:
+        status, seconds, output = run(list(mutant.tests), mutant)
+        # Only failing tests (exit status 1) or a hang catch a mutant; a
+        # pytest usage or collection error is an ERROR.
+        verdict = {None: "caught", 0: "SURVIVED", 1: "caught"}.get(status, "ERROR")
+        if verdict == "ERROR":
+            print(output)
+        caught += verdict == "caught"
+        print(f"{verdict:8}  {seconds:6.1f}s  {mutant.name}", flush=True)
+    print(f"{caught} of {len(MUTANTS)} caught in {time.perf_counter() - t0:.1f}s")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -389,6 +389,30 @@ def test_rr_scan_rows_are_sorted_and_consistent():
         assert row.step_value == dv.ceil_prime(row.deg2) + 1
 
 
+def bisect_floor_pow2(x: Fraction) -> int:
+    """Largest t with t**b <= 2**a for x = a/b >= 0, by bisection in
+    [2**floor(x), 2**(floor(x) + 1))."""
+    a, b = x.numerator, x.denominator
+    lo, hi = 1 << (a // b), 1 << (a // b + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** b <= 2 ** a:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_rr_scan_h0_is_the_bit_length_of_the_exact_root():
+    # a scan the size of the benchmark's medium self-audit scans: quarter
+    # ends, step 1/8 and probes at 1/128, every denominator a power of two
+    report = dv.rr_scan(Fraction(-87, 4), Fraction(91, 4), Fraction(1, 8))
+    assert len(report.rows) == 445
+    for row in report.rows:
+        expected = 0 if row.deg2 < 0 else bisect_floor_pow2(row.deg2).bit_length() + 1
+        assert row.h0 == expected, row.deg2
+
+
 def test_rr_scan_single_point():
     report = dv.rr_scan(Fraction(1, 3), Fraction(1, 3), 1)
     assert report.passed

@@ -7,6 +7,10 @@ widths.  No binary floating point anywhere.
 """
 
 import decimal
+import inspect
+import math
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -14,6 +18,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+import arakelov_rr
 from arakelov_rr import exact
 from arakelov_rr.errors import DomainError, PrecisionError, SizeCapError
 
@@ -51,6 +56,94 @@ def test_nth_root_floor_exact_powers():
             assert exact.nth_root_floor(power - 1, n) == base - 1
             assert exact.nth_root_floor(power, n) == base
             assert exact.nth_root_floor(power + 1, n) == base
+
+
+@hypothesis.given(
+    wide_ints(3_000),
+    st.integers(0, 15),
+    st.sampled_from([1, 3, 5]),
+)
+def test_nth_root_floor_even_indices(x, j, odd):
+    # an index 2**j * odd halves j times through isqrt, then takes the odd root
+    k = 2 ** j * odd
+    r = exact.nth_root_floor(x, k)
+    assert r ** k <= x < (r + 1) ** k
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 15])
+@pytest.mark.parametrize("odd", [1, 3, 5])
+def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd, monkeypatch):
+    # the even part of the index costs exactly j square roots, never a
+    # Newton step or bisection at an even index
+    calls = []
+    isqrt = math.isqrt
+
+    def counted(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(math, "isqrt", counted)
+    k = 2 ** j * odd
+    x = 3 ** 5000 + 1
+    r = exact.nth_root_floor(x, k)
+    assert len(calls) == j
+    assert r ** k <= x < (r + 1) ** k
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(10, 1.0), (10.0, 1), (10, True), (True, 2), (Fraction(10), 2), ("10", 2), (10, Fraction(2))],
+)
+def test_nth_root_floor_refuses_arguments_that_are_not_ints(n, k):
+    with pytest.raises(ValueError):
+        exact.nth_root_floor(n, k)
+
+
+def closing_moves(n, k):
+    """nth_root_floor(n, k), with how often each of its calls moved the
+    Newton result down and up in the closing loops, traced line by line."""
+    lines, first = inspect.getsourcelines(exact.nth_root_floor)
+    stripped = [line.strip() for line in lines]
+    down, up = (first + stripped.index(step) for step in ("x -= 1", "x += 1"))
+    moves = []
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not exact.nth_root_floor.__code__:
+            return None
+        moved = {down: 0, up: 0}
+        moves.append(moved)
+
+        def on_line(frame, event, arg):
+            if event == "line" and frame.f_lineno in moved:
+                moved[frame.f_lineno] += 1
+            return on_line
+
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        r = exact.nth_root_floor(n, k)
+    finally:
+        sys.settrace(previous)
+    return r, [(moved[down], moved[up]) for moved in moves]
+
+
+def test_nth_root_floor_newton_lands_on_the_root_or_one_above():
+    # the seeded Newton step overestimates by at most one, so the closing
+    # loops step down at most once and never up; exact powers and their
+    # neighbours are the inputs a misplaced comparison would move on
+    rng = random.Random(20231)
+    cases = []
+    for k in (3, 5, 7, 9, 15, 21, 25):
+        for bits in (40, 200, 900):
+            base = rng.getrandbits(bits) | 1 << (bits - 1)
+            cases += [(base ** k + d, k) for d in (-1, 0, 1)]
+            cases.append((rng.getrandbits(bits * k), k))
+    for n, k in cases:
+        r, moves = closing_moves(n, k)
+        assert r ** k <= n < (r + 1) ** k
+        assert all(down <= 1 and up == 0 for down, up in moves), (n, k, moves)
 
 
 def test_nth_root_floor_narrow_root_of_huge_index_is_fast():
@@ -334,3 +427,30 @@ def test_floor_pow2_rational_huge_integer_is_capped():
 def test_floor_pow2_rational_rejects_negative():
     with pytest.raises(DomainError):
         exact.floor_pow2_rational(Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("q", [0.5, 2.75, 3.0, True, False, None, 1j])
+def test_floor_pow2_rational_refuses_what_is_not_an_exact_rational(q):
+    # binary floats are not exact rationals, a bool is not a degree, and
+    # None or a complex is no number of either kind; the package exports
+    # the function as floor_pow2
+    for floor_pow2 in (exact.floor_pow2_rational, arakelov_rr.floor_pow2):
+        with pytest.raises(DomainError):
+            floor_pow2(q)
+
+
+@pytest.mark.parametrize("q, expected", [(3, 8), (Fraction(5, 2), 5), ("11/4", 6), ("0", 1)])
+def test_floor_pow2_rational_takes_ints_fractions_and_strings(q, expected):
+    assert exact.floor_pow2_rational(q) == expected
+
+
+@hypothesis.given(st.fractions(min_value=0, max_value=400, max_denominator=64))
+def test_floor_pow2_rational_under_the_cap_takes_the_root_from_ints(q):
+    # a rational degree under the cap never reaches the log-term machinery
+    def refuse(*args):
+        raise AssertionError("materialize_or_bracket entered")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "materialize_or_bracket", refuse)
+        t = exact.floor_pow2_rational(q)
+    assert t ** q.denominator <= 2 ** q.numerator < (t + 1) ** q.denominator
