@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import DomainError, OutOfRangeError, SizeCapError
+from .exact import _checked_rational
 
 #: Cap on exhaustive subset-sum enumeration (2**m sums).
 SUBSET_SUM_CAP = 24
@@ -38,12 +39,6 @@ def _on_common_denominator(points: Iterable) -> tuple[int, list[int]]:
     qs = [_exact(p) for p in points]
     d = math.lcm(*(q.denominator for q in qs))
     return d, [q.numerator * (d // q.denominator) % d for q in qs]
-
-
-def circle_distance(x, y) -> Fraction:
-    """Arc distance on R/Z: min(|x - y|, 1 - |x - y|) after reduction."""
-    d = abs(circle_point(x) - circle_point(y))
-    return min(d, 1 - d)
 
 
 def f_generators(m: int) -> tuple[Fraction, ...]:
@@ -204,12 +199,12 @@ def dim_h1(deg2) -> int:
     """Dimension at degree deg2 (log2 units): 0 at and above degree -1,
     and m on the window [-m - 1, -m).
 
-    Accepts an exact rational or any degree carrier exposing floor().
+    Accepts any degree carrier exposing floor(), and otherwise an exact
+    rational (an int, Fraction or string); DomainError for anything else.
     """
-    if isinstance(deg2, bool) or isinstance(deg2, float):
-        raise DomainError("degree must be an exact rational or degree carrier")
-    if isinstance(deg2, (int, Fraction)):
-        fl = deg2.numerator // deg2.denominator
-    else:
+    if hasattr(deg2, "floor"):
         fl = deg2.floor()
+    else:
+        q = _checked_rational(deg2, "degree")
+        fl = q.numerator // q.denominator
     return max(0, -fl - 1)

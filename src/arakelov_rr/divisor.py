@@ -14,7 +14,6 @@ floor(x) for x < 0.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -223,12 +222,6 @@ class ArakelovDivisor:
         """The divisor -2*(2), of degree -2 in log2 units."""
         return cls(finite_part=((2, -2),))
 
-    def multiplicity(self, p: int) -> int:
-        for q, m in self.finite_part:
-            if q == p:
-                return m
-        return 0
-
     def deg2(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> DegreeValue:
         """Degree in log2 units: arch + sum of m * log2(p) over places."""
         rational = self.archimedean_log2
@@ -385,10 +378,6 @@ def series_to_json_obj(series: StepFunctionSeries) -> dict:
         ],
         "jump_points": [str(x) for x in series.jump_points],
     }
-
-
-def series_to_json(series: StepFunctionSeries) -> str:
-    return json.dumps(series_to_json_obj(series), indent=2) + "\n"
 
 
 def series_to_svg(series: StepFunctionSeries) -> str:

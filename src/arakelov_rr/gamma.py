@@ -10,7 +10,7 @@ lives here together with a linear-time shortcut for symmetric intervals.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from ._record import record
@@ -66,18 +66,6 @@ class PointedMap:
     def identity(cls, k: int) -> "PointedMap":
         return cls(k, k, tuple(range(1, k + 1)))
 
-    @classmethod
-    def collapse(cls, k: int) -> "PointedMap":
-        """The fold map k+ -> 1+ sending every non-base element to 1."""
-        return cls(k, 1, (1,) * k)
-
-    @classmethod
-    def select(cls, j: int, k: int) -> "PointedMap":
-        """The map k+ -> 1+ keeping element j and killing the rest."""
-        if not 1 <= j <= k:
-            raise DomainError(f"select needs 1 <= j <= k, got j={j}, k={k}")
-        return cls(k, 1, tuple(1 if i == j else BASEPOINT for i in range(1, k + 1)))
-
     def compose(self, other: "PointedMap") -> "PointedMap":
         """self after other (apply ``other`` first)."""
         if other.target_size != self.source_size:
@@ -102,12 +90,6 @@ class PointedVector:
     @property
     def level(self) -> int:
         return len(self.entries)
-
-    def is_basepoint(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def total(self) -> Scalar:
-        return sum(self.entries, EMPTY_SUM)
 
 
 #: Sets a vector's entries past the frozen __setattr__ (the slot's own setter).
@@ -258,14 +240,3 @@ def smash_action(alpha: PointedVector, a: PointedVector) -> PointedVector:
     if not member_norm(alpha, 1):
         raise DomainError("acting tuple must have l1 norm at most 1")
     return _unchecked(tuple(ai * aj for ai in alpha.entries for aj in a.entries))
-
-
-def sum_witness(parts: Sequence[Scalar], subset: SubsetSpec) -> PointedVector | None:
-    """Exhibit sum(parts) as a sum inside the subset-constrained module.
-
-    The tuple of parts is itself the witness: its fold image is the total
-    and its single-entry projections are the parts.  Returns the witness
-    when all its subset sums lie in ``subset``, else None.
-    """
-    z = PointedVector(tuple(parts))
-    return z if member_subfunctor(z, subset) else None

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from ._record import record
 from .errors import DomainError, OutOfRangeError, SizeCapError
-from .exact import floor_pow2_rational
+from .exact import _checked_rational, floor_pow2_rational
 from .gamma import EMPTY_SUM
 
 #: Largest bound the exhaustive minimal-set search accepts: every a up to
@@ -152,20 +151,6 @@ def _realize_greedy(
             q -= g
         chosen.append(g)
     return tuple(chosen)
-
-
-def realize(j: int, generators: Iterable[int], a: int) -> tuple[int, ...] | None:
-    """An admissible subset of generators summing to j, or None.
-
-    Among all witnesses, returns the one least in indicator order over
-    the sorted generators: earlier generators are left out whenever some
-    completion without them exists.
-    """
-    a = _checked_bound(a)
-    if abs(j) > a:
-        raise OutOfRangeError(f"target {j} outside [-{a}, {a}]")
-    gs = _checked_generators(generators, a)
-    return _realize_greedy(j, gs, a, _suffix_states(gs, a))
 
 
 @record(unhashed=("witnesses",))
@@ -367,15 +352,13 @@ def dim_h0(deg2) -> int:
     """Module dimension at degree deg2 (log2 units): 0 below degree 0,
     otherwise n + 1 where 2**(n-1) <= floor(2**deg2) < 2**n.
 
-    Accepts an exact rational or any degree carrier exposing sign() and
-    floor_pow2().
+    Accepts any degree carrier exposing sign() and floor_pow2(), and
+    otherwise an exact rational (an int, Fraction or string); DomainError
+    for anything else.
     """
-    if isinstance(deg2, bool) or isinstance(deg2, float):
-        raise DomainError("degree must be an exact rational or degree carrier")
-    if isinstance(deg2, (int, Fraction)):
-        if deg2.numerator < 0:
-            return 0
-        return floor_pow2_rational(deg2).bit_length() + 1
-    if deg2.sign() < 0:
+    if hasattr(deg2, "floor_pow2"):
+        return 0 if deg2.sign() < 0 else deg2.floor_pow2().bit_length() + 1
+    q = _checked_rational(deg2, "degree")
+    if q.numerator < 0:
         return 0
-    return deg2.floor_pow2().bit_length() + 1
+    return floor_pow2_rational(q).bit_length() + 1

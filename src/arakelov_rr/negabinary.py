@@ -54,9 +54,6 @@ class DeltaInterval:
     def width(self) -> int:
         return self.hi - self.lo + 1
 
-    def __contains__(self, q: int) -> bool:
-        return self.lo <= q <= self.hi
-
 
 def delta_interval(n: int) -> DeltaInterval:
     """Window for width n: [j(k), j(k) + 2**n - 1] with k = 2*(n // 2) + 1.

@@ -129,8 +129,8 @@ def verify_pointed_maps() -> SuiteResult:
         ka = rng.randint(0, 4)
         kb = rng.randint(0, 4)
         alpha_raw = [Fraction(rng.randint(-4, 4), 16) for _ in range(ka)]
-        a = gamma.PointedVector(tuple(rng.randint(-9, 9) for _ in range(kb)))
-        alpha = gamma.PointedVector(tuple(alpha_raw))
+        a = gamma.vector(*(rng.randint(-9, 9) for _ in range(kb)))
+        alpha = gamma.vector(*alpha_raw)
         if not gamma.member_norm(alpha, 1):
             continue
         product = gamma.smash_action(alpha, a)

@@ -100,6 +100,83 @@ MUTANTS = (
             "tests/test_divisor.py::test_rr_scan_h0_is_the_bit_length_of_the_exact_root",
         ),
     ),
+    Mutant(
+        "min-search-cut-one-short",
+        "interval_h0.py",
+        "stop = min(stop, bisect_right(universe, high))",
+        "stop = min(stop, bisect_right(universe, high - 1))",
+        (
+            "tests/test_interval_h0.py::test_min_search_first_witnesses_match_the_pinned_ones",
+            "tests/test_interval_h0.py::test_min_search_first_witness_matches_combination_oracle",
+        ),
+    ),
+    Mutant(
+        # Every first witness stays right; only the lists of all minima lose some.
+        "min-search-cut-while-negatives-remain",
+        "interval_h0.py",
+        "if missing and (r == 1 or universe[start] > 0):",
+        "if missing:",
+        (
+            "tests/test_interval_h0.py::test_min_search_all_minima_match_combination_oracle",
+            "tests/test_interval_h0.py::test_min_search_all_minima_counts_match_the_pinned_ones",
+        ),
+    ),
+    Mutant(
+        "realize-takes-a-generator-it-could-skip",
+        "interval_h0.py",
+        "if _completable(suffix[i + 1], j, p, q, a):\n            continue",
+        "if _completable(suffix[i + 1], j, p, q, a):\n            pass",
+        (
+            "tests/test_interval_h0.py::test_realize_agrees_with_oracle",
+            "tests/test_interval_h0.py::test_realize_prefers_leaving_early_generators_out",
+        ),
+    ),
+    Mutant(
+        "membership-scales-numerators-by-the-whole-lcm",
+        "gamma.py",
+        "e.numerator * (scale // e.denominator)",
+        "e.numerator * scale",
+        (
+            "tests/test_gamma.py::test_member_subfunctor_exhaustive_small",
+            # its first line checks that the unmutated suite passes
+            "tests/test_gamma.py::test_verify_pointed_maps_catches_a_pushforward_that_drops_an_entry",
+        ),
+    ),
+    Mutant(
+        "scaled-test-ignores-its-scale",
+        "gamma.py",
+        "limit = math.floor(self.bound * scale)",
+        "limit = math.floor(self.bound)",
+        (
+            "tests/test_gamma.py::test_member_subfunctor_exhaustive_small",
+            # its first line checks that the unmutated suite passes
+            "tests/test_gamma.py::test_verify_pointed_maps_catches_a_pushforward_that_drops_an_entry",
+        ),
+    ),
+    Mutant(
+        "covering-radius-doubled",
+        "circle_h1.py",
+        "covering=Fraction(_widest_gap(d, sorted(sums)), 2 * d),",
+        "covering=Fraction(_widest_gap(d, sorted(sums)), d),",
+        ("tests/test_circle_h1.py::test_certify_family_small",),
+    ),
+    Mutant(
+        "bijection-counts-one-value-too-many",
+        "negabinary.py",
+        "distinct = bits.bit_count()",
+        "distinct = bits.bit_count() + 1",
+        ("tests/test_negabinary.py::test_verify_bijection_reports",),
+    ),
+    Mutant(
+        # Survives every test of verify_bijection: each value of a negabinary
+        # window has exactly one mask, so the least and the greatest agree.
+        # Only weights with repeated sums tell them apart.
+        "witness-takes-the-greatest-mask",
+        "negabinary.py",
+        "if v < base or not bits >> (v - base) & 1:",
+        "if v - weights[i] >= base and bits >> (v - weights[i] - base) & 1:",
+        ("tests/test_negabinary.py::test_sum_levels_match_itertools_on_random_weights",),
+    ),
 )
 
 

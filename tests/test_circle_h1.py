@@ -110,17 +110,6 @@ def test_circle_point_rejects_float():
         circle_h1.circle_point(0.25)
 
 
-@hypothesis.given(
-    st.fractions(min_value=-4, max_value=4, max_denominator=60),
-    st.fractions(min_value=-4, max_value=4, max_denominator=60),
-)
-def test_circle_distance_matches_oracle(x, y):
-    d = circle_h1.circle_distance(x, y)
-    assert d == oracle_distance(x, y)
-    assert 0 <= d <= Fraction(1, 2)
-    assert d == circle_h1.circle_distance(y, x)
-
-
 # ---------------------------------------------------------------------------
 # the family F(m) and its subset sums
 # ---------------------------------------------------------------------------
@@ -330,3 +319,12 @@ def test_dim_h1_closed_form(q):
 def test_dim_h1_rejects_float():
     with pytest.raises(DomainError):
         circle_h1.dim_h1(-1.5)
+
+
+def test_dim_h1_reads_a_string_degree_exactly_and_refuses_non_rationals():
+    # as ceil_prime does: a string is an exact rational, None and 1j are not
+    assert circle_h1.dim_h1("1/3") == 0
+    assert circle_h1.dim_h1("-7/2") == 3
+    for bad in (None, 1j):
+        with pytest.raises(DomainError):
+            circle_h1.dim_h1(bad)

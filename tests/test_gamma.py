@@ -75,16 +75,18 @@ def test_member_subfunctor_matches_bruteforce(x, spec):
 
 
 def test_member_subfunctor_exhaustive_small():
-    grid = [-2, -1, 0, 1, 2]
     spec_int = gamma.SubsetSpec.integers(2)
     spec_sym = gamma.SubsetSpec.symmetric(Fraction(3, 2))
-    for k in range(5):
-        for entries in itertools.product(grid, repeat=k):
-            x = gamma.vector(*entries)
-            for spec in (spec_int, spec_sym):
-                assert gamma.member_subfunctor(x, spec) == oracle_member(
-                    entries, spec
-                )
+    # the second grid mixes denominators, so the test scales by their lcm
+    grids = ([-2, -1, 0, 1, 2], [Fraction(-3, 2), Fraction(-1, 4), 0, Fraction(1, 2), 1])
+    for grid in grids:
+        for k in range(5):
+            for entries in itertools.product(grid, repeat=k):
+                x = gamma.vector(*entries)
+                for spec in (spec_int, spec_sym):
+                    assert gamma.member_subfunctor(x, spec) == oracle_member(
+                        entries, spec
+                    )
 
 
 def test_member_known_cases():
@@ -177,13 +179,13 @@ def test_pushforward_additive_in_the_vector(phi, data):
 
 def test_collapse_and_select():
     x = gamma.vector(3, Fraction(-1, 2), 4)
-    assert gamma.pushforward(gamma.PointedMap.collapse(3), x).entries == (
-        x.total(),
-    )
+    # the fold 3+ -> 1+ sums every entry
+    collapse = gamma.PointedMap(3, 1, (1, 1, 1))
+    assert gamma.pushforward(collapse, x).entries == (sum(x.entries),)
     for j in (1, 2, 3):
-        assert gamma.pushforward(gamma.PointedMap.select(j, 3), x).entries == (
-            x.entries[j - 1],
-        )
+        # keep element j, send the rest to the base point
+        select = gamma.PointedMap(3, 1, tuple(int(i == j) for i in (1, 2, 3)))
+        assert gamma.pushforward(select, x).entries == (x.entries[j - 1],)
 
 
 def test_pushforward_drops_basepoint_entries():
@@ -264,30 +266,8 @@ def test_smash_contracts_l1_norm(alpha_entries, a, bound):
 
 def test_smash_basepoint_collapses():
     alpha = gamma.vector(Fraction(1, 2))
-    assert gamma.smash_action(alpha, gamma.vector(0, 0)).is_basepoint()
-    assert gamma.smash_action(gamma.vector(0), gamma.vector(5, 6)).is_basepoint()
-
-
-# ---------------------------------------------------------------------------
-# sum witness
-# ---------------------------------------------------------------------------
-
-
-@hypothesis.given(st.lists(scalars, max_size=8), specs)
-def test_sum_witness_iff_member(parts, spec):
-    witness = gamma.sum_witness(parts, spec)
-    if oracle_member(tuple(parts), spec):
-        assert witness is not None
-        assert witness.entries == tuple(parts)
-        assert witness.total() == sum(parts)
-    else:
-        assert witness is None
-
-
-def test_sum_witness_examples():
-    spec = gamma.SubsetSpec.integers(2)
-    assert gamma.sum_witness([1, 1], spec) is not None
-    assert gamma.sum_witness([2, 1], spec) is None  # partial sum 3 escapes
+    assert gamma.smash_action(alpha, gamma.vector(0, 0)).entries == (0, 0)
+    assert gamma.smash_action(gamma.vector(0), gamma.vector(5, 6)).entries == (0, 0)
 
 
 # ---------------------------------------------------------------------------

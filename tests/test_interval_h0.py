@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 
 from arakelov_rr import interval_h0
-from arakelov_rr.errors import DomainError, OutOfRangeError, SizeCapError
+from arakelov_rr.errors import DomainError, SizeCapError
 from arakelov_rr.exact import floor_pow2_rational
 
 
@@ -85,11 +85,18 @@ def test_first_unrealizable_is_least_missing(case):
     assert interval_h0.first_unrealizable(gens, a) == expected
 
 
+def realize(j, gens, a):
+    """The greedy witness for j over the sorted generators, as generates
+    takes it, or None."""
+    gs = tuple(sorted(gens))
+    return interval_h0._realize_greedy(j, gs, a, interval_h0._suffix_states(gs, a))
+
+
 @hypothesis.given(generator_sets())
 def test_realize_agrees_with_oracle(case):
     a, gens = case
     for j in range(-a, a + 1):
-        witness = interval_h0.realize(j, gens, a)
+        witness = realize(j, gens, a)
         if oracle_realizable(j, gens, a):
             assert witness is not None
             assert sum(witness) == j
@@ -102,13 +109,8 @@ def test_realize_agrees_with_oracle(case):
 
 def test_realize_prefers_leaving_early_generators_out():
     # 3 = 3 alone beats 1 + 2 in indicator order over sorted generators
-    assert interval_h0.realize(3, [1, 2, 3], 3) == (3,)
-    assert interval_h0.realize(0, [-1, 1], 1) == ()
-
-
-def test_realize_target_out_of_range():
-    with pytest.raises(OutOfRangeError):
-        interval_h0.realize(5, [1, 2], 4)
+    assert realize(3, [1, 2, 3], 3) == (3,)
+    assert realize(0, [-1, 1], 1) == ()
 
 
 @hypothesis.given(generator_sets())
@@ -382,3 +384,12 @@ def test_dim_h0_counts_via_generating_set(q):
 def test_dim_h0_rejects_floats():
     with pytest.raises((DomainError, TypeError, ValueError)):
         interval_h0.dim_h0(0.5)
+
+
+def test_dim_h0_reads_a_string_degree_exactly_and_refuses_non_rationals():
+    # as ceil_prime does: a string is an exact rational, None and 1j are not
+    assert interval_h0.dim_h0("1/3") == 2
+    assert interval_h0.dim_h0("-1/3") == 0
+    for bad in (None, 1j):
+        with pytest.raises(DomainError):
+            interval_h0.dim_h0(bad)

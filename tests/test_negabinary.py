@@ -111,12 +111,6 @@ def test_window_endpoints_from_j(n):
     assert interval.hi == lo + 2 ** n - 1
 
 
-def test_window_membership():
-    interval = negabinary.delta_interval(4)
-    assert -10 in interval and 5 in interval
-    assert -11 not in interval and 6 not in interval
-
-
 @hypothesis.given(st.lists(st.integers(0, 1), max_size=16))
 def test_decode_matches_weighted_sum(digits):
     word = negabinary.NegabinaryWord(tuple(digits))
