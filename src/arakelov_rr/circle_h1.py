@@ -22,21 +22,15 @@ from .exact import _checked_rational
 SUBSET_SUM_CAP = 24
 
 
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise DomainError("circle points must be exact rationals, not floats")
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def circle_point(value) -> Fraction:
     """Reduce an exact rational to its representative in [0, 1)."""
-    q = _exact(value)
+    q = _checked_rational(value, "circle point")
     return q - math.floor(q)
 
 
 def _on_common_denominator(points: Iterable) -> tuple[int, list[int]]:
     """(d, ns): the points reduced mod 1 are exactly the n / d for n in ns."""
-    qs = [_exact(p) for p in points]
+    qs = [_checked_rational(p, "circle point") for p in points]
     d = math.lcm(*(q.denominator for q in qs))
     return d, [q.numerator * (d // q.denominator) % d for q in qs]
 
@@ -108,9 +102,7 @@ def min_separation(points: Iterable[Fraction]) -> Fraction:
 
 
 def _checked_lambda(lam) -> Fraction:
-    if isinstance(lam, float):
-        raise DomainError("lambda must be an exact rational, not a float")
-    lam = Fraction(lam)
+    lam = _checked_rational(lam, "lambda")
     if lam <= 0:
         raise DomainError("lambda must be positive")
     return lam

@@ -54,6 +54,9 @@ class DegreeValue:
     when every log term vanishes (unique factorization), so equality and
     order against rationals are decidable: symbolically when rational,
     else by interval refinement that doubles precision up to the cap.
+    Refinement runs on one integer enclosure (lo, hi, d), lo/d <= degree
+    <= hi/d, summed from the log2_bounds numerators over one common
+    denominator; ``bounds`` is its Fraction view.
     """
 
     rational_part: Fraction
@@ -83,16 +86,29 @@ class DegreeValue:
     def is_rational(self) -> bool:
         return not self.log_terms
 
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Honest enclosure of the degree at roughly 2**-bits width."""
-        lo = hi = self.rational_part
+    def _enclosure(self, bits: int) -> tuple[int, int, int]:
+        """(lo, hi, d) with lo/d <= degree <= hi/d, about 2**-bits wide.
+
+        Every log2_bounds denominator is a power of two at most 2**bits,
+        so d = denominator(rational_part) * 2**bits is a common one.
+        """
+        r = self.rational_part
+        lo = hi = 0
         for p, m in self.log_terms:
             plo, phi = log2_bounds(p, bits)
-            if m >= 0:
-                lo, hi = lo + m * plo, hi + m * phi
-            else:
-                lo, hi = lo + m * phi, hi + m * plo
-        return lo, hi
+            if m < 0:
+                plo, phi = phi, plo
+            lo += (m * plo.numerator) << (bits + 1 - plo.denominator.bit_length())
+            hi += (m * phi.numerator) << (bits + 1 - phi.denominator.bit_length())
+        b = r.denominator
+        a = r.numerator << bits
+        return a + b * lo, a + b * hi, b << bits
+
+    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Honest enclosure of the degree at roughly 2**-bits width: the
+        Fraction view of the integer enclosure the refinement runs on."""
+        lo, hi, d = self._enclosure(bits)
+        return Fraction(lo, d), Fraction(hi, d)
 
     def compare(self, other: Rational) -> int:
         """Sign of self - other for rational other (-1, 0, or +1).
@@ -104,12 +120,13 @@ class DegreeValue:
         if self.is_rational:
             diff = self.rational_part - other
             return (diff > 0) - (diff < 0)
+        c, e = other.numerator, other.denominator
 
         def step(bits: int) -> int | None:
-            lo, hi = self.bounds(bits)
-            if lo > other:
+            lo, hi, d = self._enclosure(bits)
+            if lo * e > c * d:
                 return 1
-            return -1 if hi < other else None
+            return -1 if hi * e < c * d else None
 
         return refine(step, self.precision_bits, lambda: f"cannot separate {self} from {other}")
 
@@ -122,9 +139,9 @@ class DegreeValue:
             return math.floor(self.rational_part)
 
         def step(bits: int) -> int | None:
-            lo, hi = self.bounds(bits)
-            k = math.floor(lo)
-            return k if k == math.floor(hi) else None
+            lo, hi, d = self._enclosure(bits)
+            k = lo // d
+            return k if k == hi // d else None
 
         return refine(step, self.precision_bits, lambda: f"floor of {self} undecided")
 
@@ -150,8 +167,8 @@ class DegreeValue:
         return DegreeValue(self.rational_part + delta, self.log_terms, self.precision_bits)
 
     def approx(self) -> float:
-        lo, hi = self.bounds(64)
-        return float((lo + hi) / 2)
+        lo, hi, d = self._enclosure(64)
+        return (lo + hi) / (2 * d)
 
     def __str__(self) -> str:
         parts = [str(self.rational_part)]
@@ -256,9 +273,12 @@ def euler_characteristic(
     """
     deg = divisor.deg2(precision_bits)
     x = deg.rational_part if deg.is_rational else deg
-    h0, h1 = dim_h0(x), dim_h1(x)
+    h0 = dim_h0(x)
+    # h1 and the primed ceiling depend on the floor alone: decide it once.
+    k = deg.floor()
+    h1 = dim_h1(k)
     chi = h0 - h1
-    rhs = ceil_prime(x) + 1
+    rhs = ceil_prime(k) + 1
     if chi != rhs:
         raise FormulaViolation(
             f"chi = {h0} - {h1} = {chi} but step formula gives {rhs} at degree {deg}"

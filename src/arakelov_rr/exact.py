@@ -234,10 +234,13 @@ def materialize_or_bracket(
                     return bracket()
                 except PrecisionError:
                     pass
-        power = math.prod(
-            (Fraction(p) ** (m * beta) for p, m in log_terms), start=Fraction(2) ** alpha
-        )
-        return nth_root_floor_fraction(power, beta)
+        num, den = (1 << alpha, 1) if alpha >= 0 else (1, 1 << -alpha)
+        for p, m in log_terms:
+            if m > 0:
+                num *= p ** (m * beta)
+            else:
+                den *= p ** (-m * beta)
+        return nth_root_floor_fraction(Fraction(num, den), beta)
     if beta == 1:
         text = f"({name})" if log_terms else abbreviated(alpha)
         raise SizeCapError(f"integer part of 2**{text} is too large to materialize")

@@ -352,12 +352,13 @@ def dim_h0(deg2) -> int:
     """Module dimension at degree deg2 (log2 units): 0 below degree 0,
     otherwise n + 1 where 2**(n-1) <= floor(2**deg2) < 2**n.
 
-    Accepts any degree carrier exposing sign() and floor_pow2(), and
-    otherwise an exact rational (an int, Fraction or string); DomainError
-    for anything else.
+    Accepts any degree carrier exposing floor_pow2(), which is 0 exactly
+    below degree 0, and otherwise an exact rational (an int, Fraction or
+    string); DomainError for anything else.
     """
     if hasattr(deg2, "floor_pow2"):
-        return 0 if deg2.sign() < 0 else deg2.floor_pow2().bit_length() + 1
+        a = deg2.floor_pow2()
+        return a.bit_length() + 1 if a else 0
     q = _checked_rational(deg2, "degree")
     if q.numerator < 0:
         return 0

@@ -101,6 +101,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "negative-multiplicity-takes-the-lower-log2-bound",
+        "divisor.py",
+        "plo, phi = phi, plo",
+        "plo, phi = plo, phi",
+        (
+            "tests/test_divisor.py::test_integer_enclosure_agrees_with_the_fraction_oracle",
+            "tests/test_divisor.py::test_bounds_enclose_reference_value",
+        ),
+    ),
+    Mutant(
+        "floor-read-from-the-lower-end-alone",
+        "divisor.py",
+        "return k if k == hi // d else None",
+        "return k",
+        (
+            "tests/test_divisor.py::test_integer_enclosure_agrees_with_the_fraction_oracle",
+            "tests/test_divisor.py::test_oracle_cases_reach_deep_refinement_and_exhaustion",
+        ),
+    ),
+    Mutant(
+        "compare-crosses-the-denominators",
+        "divisor.py",
+        "if lo * e > c * d:\n                return 1\n            return -1 if hi * e < c * d else None",
+        "if lo * d > c * e:\n                return 1\n            return -1 if hi * d < c * e else None",
+        (
+            "tests/test_divisor.py::test_integer_enclosure_agrees_with_the_fraction_oracle",
+            "tests/test_divisor.py::test_compare_frozen_logs",
+        ),
+    ),
+    Mutant(
+        "root-multiplies-by-a-negative-multiplicity",
+        "exact.py",
+        "den *= p ** (-m * beta)",
+        "num *= p ** (-m * beta)",
+        (
+            "tests/test_divisor.py::test_floor_pow2_spot_values",
+            "tests/test_divisor.py::test_floor_pow2_defining_inequality",
+        ),
+    ),
+    Mutant(
         "min-search-cut-one-short",
         "interval_h0.py",
         "stop = min(stop, bisect_right(universe, high))",

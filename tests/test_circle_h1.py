@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis
@@ -108,6 +109,28 @@ def test_circle_point_normalizes():
 def test_circle_point_rejects_float():
     with pytest.raises(DomainError):
         circle_h1.circle_point(0.25)
+
+
+@pytest.mark.parametrize("bad", [True, False, Decimal("0.75"), None, 1j, 0.25])
+def test_circle_inputs_refuse_what_ceil_prime_refuses(bad):
+    # one exact-rational check for points and lambda: a bool or a Decimal is
+    # refused, and None is a DomainError, not a TypeError from Fraction
+    with pytest.raises(DomainError):
+        circle_h1.circle_point(bad)
+    with pytest.raises(DomainError):
+        circle_h1.covering_radius([Fraction(1, 2), bad])
+    with pytest.raises(DomainError):
+        circle_h1.is_generating([Fraction(1, 2)], bad)
+
+
+def test_circle_inputs_read_ints_and_strings_exactly():
+    assert circle_h1.circle_point("7/4") == Fraction(3, 4)
+    assert circle_h1.covering_radius([0, "1/2"]) == Fraction(1, 4)
+    assert circle_h1.is_generating([Fraction(1, 2)], "1/4")
+    assert not circle_h1.is_generating([Fraction(1, 2)], "1/5")
+    for lam in (0, "-1/4"):
+        with pytest.raises(DomainError):
+            circle_h1.is_generating([Fraction(1, 2)], lam)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from arakelov_rr import cli, exact, negabinary, verify
+from arakelov_rr import cli, divisor, exact, negabinary, verify
 from arakelov_rr.exact import log2_bounds
 
 
@@ -175,6 +175,34 @@ def test_euler_precision_exhaustion_on_a_huge_place(capsys):
     assert out == ""
     assert err.startswith("precision exhausted: cannot separate 1/3 + 400000*log2(3) from")
     assert "(190849 digits, 633986 bits)" in err
+
+
+@pytest.mark.parametrize(
+    "arch, chi, enclosures",
+    # degrees about 0.35 and -9.65, each decided at the first precision: the
+    # sign, the floor of the root (only at the positive one), one floor for
+    # h1 and the primed ceiling, and the approximation
+    [("-19/2", 2, 4), ("-39/2", -9, 3)],
+)
+def test_one_euler_builds_one_enclosure_per_decision(
+    arch, chi, enclosures, capsys, monkeypatch
+):
+    # a count of the enclosures built, three log2 lookups each, not a wall clock
+    real = divisor.log2_bounds
+    lookups = []
+
+    def counted(p, bits):
+        lookups.append(p)
+        return real(p, bits)
+
+    monkeypatch.setattr(divisor, "log2_bounds", counted)
+    code, out, _ = run(
+        ["euler", "--arch", arch, "--place", "13:2", "--place", "3:-2", "--place", "7:2"],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    assert f"chi = {chi}\n" in out
+    assert len(lookups) <= 3 * enclosures
 
 
 def test_euler_narrow_root_of_huge_index(capsys):

@@ -141,6 +141,9 @@ def test_floor_pow2_spot_values():
     assert dv.DegreeValue(Fraction(0), ((3, 1), (5, 1))).floor_pow2() == 15
     # 15 / sqrt(2) = 10.606...
     assert dv.DegreeValue(Fraction(-1, 2), ((3, 1), (5, 1))).floor_pow2() == 10
+    # a negative multiplicity divides: 7/3 = 2.33..., and 7/(3 sqrt(2)) = 1.65...
+    assert dv.DegreeValue(Fraction(0), ((3, -1), (7, 1))).floor_pow2() == 2
+    assert dv.DegreeValue(Fraction(-1, 2), ((3, -1), (7, 1))).floor_pow2() == 1
     assert dv.DegreeValue(Fraction(-3)).floor_pow2() == 0
 
 
@@ -184,6 +187,118 @@ def test_str_rendering():
     assert str(dv.DegreeValue(Fraction(-1, 2), ((3, 2), (5, -1)))) == (
         "-1/2 + 2*log2(3) - log2(5)"
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer enclosure against the Fraction arithmetic it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_bounds(value: dv.DegreeValue, bits: int) -> tuple[Fraction, Fraction]:
+    """The enclosure summed in Fractions, term by term."""
+    lo = hi = value.rational_part
+    for p, m in value.log_terms:
+        plo, phi = log2_bounds(p, bits)
+        if m >= 0:
+            lo, hi = lo + m * plo, hi + m * phi
+        else:
+            lo, hi = lo + m * phi, hi + m * plo
+    return lo, hi
+
+
+def oracle_compare(value: dv.DegreeValue, other) -> int:
+    other = Fraction(other)
+    if value.is_rational:
+        diff = value.rational_part - other
+        return (diff > 0) - (diff < 0)
+
+    def step(bits):
+        lo, hi = oracle_bounds(value, bits)
+        if lo > other:
+            return 1
+        return -1 if hi < other else None
+
+    return exact.refine(
+        step, value.precision_bits, lambda: f"cannot separate {value} from {other}"
+    )
+
+
+def oracle_floor(value: dv.DegreeValue) -> int:
+    if value.is_rational:
+        return math.floor(value.rational_part)
+
+    def step(bits):
+        lo, hi = oracle_bounds(value, bits)
+        k = math.floor(lo)
+        return k if k == math.floor(hi) else None
+
+    return exact.refine(step, value.precision_bits, lambda: f"floor of {value} undecided")
+
+
+def outcome(decide, *args):
+    """decide(*args), or the message of the PrecisionError it raises."""
+    try:
+        return decide(*args)
+    except PrecisionError as exc:
+        return f"PrecisionError: {exc}"
+
+
+#: Known primes far from the small ones, as the benchmark draws them.
+LARGE_PRIMES = (1000003, 998244353, 2305843009213693951)
+
+wide_log_terms = st.lists(
+    st.tuples(st.sampled_from(ODD_PRIMES + LARGE_PRIMES), st.integers(-6, 6).filter(bool)),
+    max_size=4,
+    unique_by=lambda t: t[0],
+).map(tuple)
+
+
+@st.composite
+def degrees_with_comparands(draw):
+    """A degree with 0-4 log terms and a cap of 32-4096 bits, and rationals
+    to compare it with.  Half of the degrees with log terms lie within
+    about 2**-8..2**-400 above an integer n, so refinement runs deep or
+    exhausts the cap; the others have a rational part of denominator at
+    most 2**20."""
+    terms = draw(wide_log_terms)
+    cap = draw(st.integers(32, 4096))
+    n = draw(st.integers(-70, 70))
+    if terms and draw(st.booleans()):
+        close = draw(st.integers(8, 400))
+        rational = n - oracle_bounds(dv.DegreeValue(Fraction(0), terms), close)[0]
+    else:
+        rational = draw(st.fractions(-64, 64, max_denominator=1 << 20))
+    others = (n, draw(st.fractions(-70, 70, max_denominator=1 << 20)))
+    return dv.DegreeValue(rational, terms, cap), others
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(degrees_with_comparands(), st.integers(1, 512))
+def test_integer_enclosure_agrees_with_the_fraction_oracle(case, bits):
+    value, others = case
+    assert value.bounds(bits) == oracle_bounds(value, bits)
+    lo, hi = oracle_bounds(value, 64)
+    approx = value.approx()
+    assert type(approx) is float and approx == float((lo + hi) / 2)
+    assert outcome(value.floor) == outcome(oracle_floor, value)
+    assert outcome(value.sign) == outcome(oracle_compare, value, 0)
+    for other in others:
+        assert outcome(value.compare, other) == outcome(oracle_compare, value, other)
+
+
+def test_oracle_cases_reach_deep_refinement_and_exhaustion():
+    # the strategy's near-integer branch: 2**-300 above 5, decided at 512
+    # bits under a 4096-bit cap, undecided under a 256-bit one
+    terms = ((3, 2), (1000003, -1), (7, 1))
+    rational = 5 - oracle_bounds(dv.DegreeValue(Fraction(0), terms), 300)[0]
+    deep = dv.DegreeValue(rational, terms, 4096)
+    assert (deep.floor(), deep.compare(5), deep.sign()) == (5, 1, 1)
+    shallow = dv.DegreeValue(rational, terms, 256)
+    with pytest.raises(PrecisionError) as info:
+        shallow.floor()
+    assert str(info.value) == f"floor of {shallow} undecided within 256 bits"
+    assert outcome(shallow.floor) == outcome(oracle_floor, shallow)
+    assert outcome(shallow.compare, 5) == outcome(oracle_compare, shallow, 5)
 
 
 # ---------------------------------------------------------------------------
