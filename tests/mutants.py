@@ -141,6 +141,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "bracket-ignores-the-k-guard",
+        "exact.py",
+        "if beta > 1 and k <= cap // 2:",
+        "if beta > 1:",
+        (
+            "tests/test_divisor.py::test_floor_pow2_brackets_a_wide_denominator_only_below_half_the_precision",
+        ),
+    ),
+    Mutant(
+        "bracket-without-the-root-fallback",
+        "exact.py",
+        "except PrecisionError:\n                    pass",
+        "except ZeroDivisionError:\n                    pass",
+        ("tests/test_divisor.py::test_floor_pow2_takes_the_root_when_bracketing_runs_out",),
+    ),
+    Mutant(
         "min-search-cut-one-short",
         "interval_h0.py",
         "stop = min(stop, bisect_right(universe, high))",
