@@ -18,17 +18,30 @@ from .errors import DomainError, PrecisionError, SizeCapError
 Enclosure = Callable[[int], tuple[Fraction, Fraction]]
 
 
+#: A Newton correction of at least this many bits is divided at about twice
+#: its width, not at full width; so from 2 * k times it, an n whose index k
+#: is even and above 2 takes the Newton step at k, without math.isqrt.
+WIDE_ROOT_STEP_BITS = 512
+
+
 def nth_root_floor(n: int, k: int) -> int:
     """Largest integer t with t**k <= n, for ints n >= 0, k >= 1.
 
-    An even index is halved by ``math.isqrt`` until it is odd: for an
-    int t, t**m <= isqrt(n) exactly when t**(2m) <= n.  Odd roots use
-    precision doubling: the root of n with its low k*s bits dropped, plus
-    one and shifted left by s, overestimates the root with about half its
-    bits right, so a single full-width Newton step lands on it or one
-    above, and the closing loops certify t**k <= n < (t+1)**k.  Roots too
-    narrow to split that way (a few bits more than log2(k)) are bisected.
-    Arguments other than ints (a bool or float included) raise ValueError.
+    An even index is halved by ``math.isqrt`` (for an int t, t**m <=
+    isqrt(n) exactly when t**(2m) <= n) while it is 2 or n has fewer
+    than 2 * WIDE_ROOT_STEP_BITS * k bits.  Other roots use precision
+    doubling: the root of n with its low k*s bits dropped, plus one and
+    shifted left by s, overestimates the root with about half its bits
+    right, so a single Newton step lands on it or one above.  With
+    s >= WIDE_ROOT_STEP_BITS that step divides only by the top s + O(1)
+    bits of its divisor, with an error below 2**-20; narrower ones divide
+    n at full width.  The closing section steps down while t**k > n.  A
+    wide root then certifies n < (t+1)**k from t**k + k * t**(k-1) <=
+    (t+1)**k, the low s bits of t dropped, and computes (t+1)**k only
+    when that bound does not exceed n; a narrow one always computes it.
+    Roots too narrow to split (a few bits more than log2(k)) are
+    bisected.  Arguments other than ints (a bool or float included)
+    raise ValueError.
     """
     if type(n) is not int or type(k) is not int:
         raise ValueError("root arguments must be ints")
@@ -36,10 +49,9 @@ def nth_root_floor(n: int, k: int) -> int:
         raise ValueError("root index must be >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    even = k & -k  # the largest power of two dividing k
-    for _ in range(even.bit_length() - 1):
+    while k % 2 == 0 and (k == 2 or n.bit_length() < 2 * WIDE_ROOT_STEP_BITS * k):
         n = math.isqrt(n)
-    k //= even
+        k //= 2
     if k == 1 or n in (0, 1):
         return n
     bits = n.bit_length()
@@ -59,12 +71,29 @@ def nth_root_floor(n: int, k: int) -> int:
             else:
                 hi = mid
         return lo
-    x = (nth_root_floor(n >> (k * s), k) + 1) << s
-    x = ((k - 1) * x + n // x ** (k - 1)) // k
-    while x ** k > n:
+    y = nth_root_floor(n >> (k * s), k) + 1
+    x = y << s
+    if s < WIDE_ROOT_STEP_BITS:
+        x = ((k - 1) * x + n // x ** (k - 1)) // k
+    else:
+        # The step is x - c, c = (x**k - n) / (k * x**(k-1)) <= 2**s.
+        # q counts quarters of c against the top T = s + 2*guard + 16 bits
+        # of k * y**(k-1) rounded up, which has more than T bits as k >= 3,
+        # so 4c - 1 - 2**-18 < q < 4c.  Then x - q//4 - 1 is at least
+        # floor(x - c) and below x - c + 2**-20: within 2**-20 of the exact
+        # step, which is at least the root and below it plus one half.
+        power = y ** (k - 1)
+        divisor = k * power
+        t = divisor.bit_length() - (s + 2 * guard + 16)
+        q = (((power * y) << (k * s)) - n >> (t + s * (k - 1) - 2)) // ((divisor >> t) + 1)
+        x -= (q + 4) >> 2
+    while (p := x ** k) > n:
         x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
+    # (x + 1)**k >= x**k + k * x**(k-1), so a bound on the right that
+    # exceeds n certifies the root without the full-width (x + 1)**k.
+    if s < WIDE_ROOT_STEP_BITS or p + (k * (x >> s) ** (k - 1) << s * (k - 1)) <= n:
+        while (x + 1) ** k <= n:
+            x += 1
     return x
 
 

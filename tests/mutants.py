@@ -61,27 +61,63 @@ EXACT_ROOTS = (
     "tests/test_exact.py::test_nth_root_floor_even_indices",
 )
 
+NEWTON_LANDS = "tests/test_exact.py::test_nth_root_floor_newton_lands_on_the_root_or_one_above"
+
 MUTANTS = (
     Mutant(
         "isqrt-halves-once-too-often",
         "exact.py",
-        "for _ in range(even.bit_length() - 1):",
-        "for _ in range(even.bit_length()):",
+        "n = math.isqrt(n)\n        k //= 2\n",
+        "n = math.isqrt(n)\n        k //= 2\n    n = math.isqrt(n)\n",
         EXACT_ROOTS,
     ),
     Mutant(
+        # Every root stays right: the last halving becomes a Newton step.
         "isqrt-halves-once-too-few",
         "exact.py",
-        "for _ in range(even.bit_length() - 1):",
-        "for _ in range(even.bit_length() - 2):",
+        "while k % 2 == 0 and (",
+        "while k % 4 == 0 and (",
+        EXACT_ROOTS,
+    ),
+    Mutant(
+        # Every root stays right: a wide n of index 2 takes a Newton step.
+        "isqrt-skips-a-wide-square-root",
+        "exact.py",
+        "(k == 2 or n.bit_length()",
+        "(n.bit_length()",
         EXACT_ROOTS,
     ),
     Mutant(
         "closing-loop-steps-down-on-equality",
         "exact.py",
-        "while x ** k > n:",
-        "while x ** k >= n:",
-        ("tests/test_exact.py::test_nth_root_floor_newton_lands_on_the_root_or_one_above",),
+        "while (p := x ** k) > n:",
+        "while (p := x ** k) >= n:",
+        (NEWTON_LANDS,),
+    ),
+    Mutant(
+        "wide-step-rounds-a-quarter-low",
+        "exact.py",
+        "x -= (q + 4) >> 2",
+        "x -= (q + 5) >> 2",
+        (NEWTON_LANDS,),
+    ),
+    Mutant(
+        # The divisor rounded down lets q reach 4c; only a correction a
+        # hair below an integer, as at base 2**bits - 1, then lands low.
+        "wide-step-truncates-the-divisor-down",
+        "exact.py",
+        "// ((divisor >> t) + 1)",
+        "// (divisor >> t)",
+        (NEWTON_LANDS,),
+    ),
+    Mutant(
+        # Every root stays right, as (x + 1)**k exceeds the bound for k >= 2,
+        # but the rule certifies only from a bound above n.
+        "wide-bound-decides-on-equality",
+        "exact.py",
+        "<< s * (k - 1)) <= n:",
+        "<< s * (k - 1)) < n:",
+        ("tests/test_exact.py::test_nth_root_floor_certifies_a_wide_root_without_its_successor_power",),
     ),
     Mutant(
         "bisection-misses-exact-powers",

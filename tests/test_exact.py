@@ -73,8 +73,9 @@ def test_nth_root_floor_even_indices(x, j, odd):
 @pytest.mark.parametrize("j", [0, 1, 2, 5, 15])
 @pytest.mark.parametrize("odd", [1, 3, 5])
 def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd, monkeypatch):
-    # the even part of the index costs exactly j square roots, never a
-    # Newton step or bisection at an even index
+    # the even part of the index costs exactly j square roots.  A narrow n
+    # is itself halved j times; a wide one, at an index above 2, takes its
+    # Newton step at the even index, and only its narrower seeds are halved
     calls = []
     isqrt = math.isqrt
 
@@ -84,10 +85,15 @@ def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd, monkeypatch):
 
     monkeypatch.setattr(math, "isqrt", counted)
     k = 2 ** j * odd
-    x = 3 ** 5000 + 1
-    r = exact.nth_root_floor(x, k)
-    assert len(calls) == j
-    assert r ** k <= x < (r + 1) ** k
+    narrow = 3 ** 600 + 1
+    wide = [3 ** (700 * k) + 1] if j <= 5 else []
+    assert all(narrow.bit_length() < 2 * exact.WIDE_ROOT_STEP_BITS * k <= x.bit_length() for x in wide)
+    for x in (narrow, *wide):
+        calls.clear()
+        r = exact.nth_root_floor(x, k)
+        assert len(calls) == j
+        assert (calls[:1] == [x]) == (j > 0 and (x == narrow or k == 2))
+        assert r ** k <= x < (r + 1) ** k
 
 
 @pytest.mark.parametrize(
@@ -101,16 +107,18 @@ def test_nth_root_floor_refuses_arguments_that_are_not_ints(n, k):
 
 def closing_moves(n, k):
     """nth_root_floor(n, k), with how often each of its calls moved the
-    Newton result down and up in the closing loops, traced line by line."""
+    Newton result down and up in the closing loops, and how often it
+    checked (x + 1)**k <= n, traced line by line."""
     lines, first = inspect.getsourcelines(exact.nth_root_floor)
     stripped = [line.strip() for line in lines]
-    down, up = (first + stripped.index(step) for step in ("x -= 1", "x += 1"))
+    steps = ("x -= 1", "x += 1", "while (x + 1) ** k <= n:")
+    traced = [first + stripped.index(step) for step in steps]
     moves = []
 
     def on_call(frame, event, arg):
         if frame.f_code is not exact.nth_root_floor.__code__:
             return None
-        moved = {down: 0, up: 0}
+        moved = dict.fromkeys(traced, 0)
         moves.append(moved)
 
         def on_line(frame, event, arg):
@@ -126,13 +134,17 @@ def closing_moves(n, k):
         r = exact.nth_root_floor(n, k)
     finally:
         sys.settrace(previous)
-    return r, [(moved[down], moved[up]) for moved in moves]
+    return r, [tuple(moved[line] for line in traced) for moved in moves]
 
 
 def test_nth_root_floor_newton_lands_on_the_root_or_one_above():
     # the seeded Newton step overestimates by at most one, so the closing
     # loops step down at most once and never up; exact powers and their
-    # neighbours are the inputs a misplaced comparison would move on
+    # neighbours are the inputs a misplaced comparison would move on.
+    # Roots of 1,200 and 3,000 bits take the truncated wide step, even
+    # indices too.  A base whose low half is all ones has its seed one
+    # above it, so the correction falls a hair short of 1 at its power,
+    # and one overestimated by as little would land below the root
     rng = random.Random(20231)
     cases = []
     for k in (3, 5, 7, 9, 15, 21, 25):
@@ -140,10 +152,46 @@ def test_nth_root_floor_newton_lands_on_the_root_or_one_above():
             base = rng.getrandbits(bits) | 1 << (bits - 1)
             cases += [(base ** k + d, k) for d in (-1, 0, 1)]
             cases.append((rng.getrandbits(bits * k), k))
+    for k in (3, 4, 5, 6, 7, 12, 25):
+        for bits in (1_200, 3_000):
+            half = bits // 2
+            ones = (rng.getrandbits(bits - half) | 1 << (bits - half - 1)) << half | (1 << half) - 1
+            for base in (rng.getrandbits(bits) | 1 << (bits - 1), ones):
+                cases += [(base ** k + d, k) for d in (-1, 0, 1)]
+            cases.append((rng.getrandbits(bits * k), k))
     for n, k in cases:
         r, moves = closing_moves(n, k)
         assert r ** k <= n < (r + 1) ** k
-        assert all(down <= 1 and up == 0 for down, up in moves), (n, k, moves)
+        assert all(down <= 1 and up == 0 for down, up, _ in moves), (n, k, moves)
+
+
+def test_nth_root_floor_certifies_a_wide_root_without_its_successor_power():
+    # (x + 1)**k >= x**k + k * x**(k-1): once that bound, with the low bits
+    # of x dropped, exceeds n, a wide root skips (x + 1)**k.  At x = 2**1500
+    # nothing is dropped, so n = x**k + k * x**(k-1) meets the bound and
+    # is checked, and one less is not; a random wide n is never checked
+    rng = random.Random(20232)
+    x = 1 << 1_500
+    for k in (3, 4, 7):
+        bound = x ** k + k * x ** (k - 1)
+        wide = rng.getrandbits(1_500 * k)
+        for n, checks in ((bound - 1, 0), (bound, 1), (wide, 0)):
+            r, moves = closing_moves(n, k)
+            assert r ** k <= n < (r + 1) ** k
+            assert moves[0][2] == checks, (k, n == bound, moves)
+
+
+def test_nth_root_floor_wide_roots_are_certified():
+    # n of 4k to 160k bits, the sizes euler's roots reach, at every index
+    # to 13 and at 16 and 24, with exact powers and their neighbours
+    rng = random.Random(20233)
+    for k in (*range(2, 14), 16, 24):
+        for _ in range(3):
+            bits = round(4_000 * 40 ** rng.random())
+            base = rng.getrandbits(bits // k) | 1 << (bits // k - 1)
+            for n in (rng.getrandbits(bits), base ** k - 1, base ** k, base ** k + 1):
+                r = exact.nth_root_floor(n, k)
+                assert r ** k <= n < (r + 1) ** k, (n.bit_length(), k)
 
 
 def test_nth_root_floor_narrow_root_of_huge_index_is_fast():
