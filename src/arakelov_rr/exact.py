@@ -18,10 +18,13 @@ from .errors import DomainError, PrecisionError, SizeCapError
 Enclosure = Callable[[int], tuple[Fraction, Fraction]]
 
 
-#: A Newton correction of at least this many bits is divided at about twice
-#: its width, not at full width; so from 2 * k times it, an n whose index k
-#: is even and above 2 takes the Newton step at k, without math.isqrt.
-WIDE_ROOT_STEP_BITS = 512
+#: A Newton correction of at least this many bits is divided by the top bits
+#: of its divisor, not at full width: the faster step at indices 3 to 12.
+WIDE_ROOT_STEP_BITS = 256
+
+#: An even index above 2 is halved by math.isqrt, a full-width division,
+#: only while n has fewer bits; the step at the index costs as much here.
+ISQRT_HALVING_BITS = 1 << 14
 
 
 def nth_root_floor(n: int, k: int) -> int:
@@ -29,19 +32,17 @@ def nth_root_floor(n: int, k: int) -> int:
 
     An even index is halved by ``math.isqrt`` (for an int t, t**m <=
     isqrt(n) exactly when t**(2m) <= n) while it is 2 or n has fewer
-    than 2 * WIDE_ROOT_STEP_BITS * k bits.  Other roots use precision
-    doubling: the root of n with its low k*s bits dropped, plus one and
-    shifted left by s, overestimates the root with about half its bits
-    right, so a single Newton step lands on it or one above.  With
-    s >= WIDE_ROOT_STEP_BITS that step divides only by the top s + O(1)
-    bits of its divisor, with an error below 2**-20; narrower ones divide
-    n at full width.  The closing section steps down while t**k > n.  A
-    wide root then certifies n < (t+1)**k from t**k + k * t**(k-1) <=
-    (t+1)**k, the low s bits of t dropped, and computes (t+1)**k only
-    when that bound does not exceed n; a narrow one always computes it.
-    Roots too narrow to split (a few bits more than log2(k)) are
-    bisected.  Arguments other than ints (a bool or float included)
-    raise ValueError.
+    than ISQRT_HALVING_BITS bits.  Other roots use precision doubling:
+    the root of n with its low k*s bits dropped, plus one and shifted
+    left by s, overestimates the root with about half its bits right, so
+    a single Newton step lands on it or one above.  With s >=
+    WIDE_ROOT_STEP_BITS that step divides only by the top s + O(1) bits
+    of its divisor, with an error below 2**-20; narrower ones divide n at
+    full width.  The closing section steps down while t**k > n, then
+    certifies n < (t+1)**k from t**k + k * t**(k-1) <= (t+1)**k, the low
+    s bits of t dropped, computing (t+1)**k only when that bound is not
+    above n.  Roots too narrow to split (a few bits more than log2(k))
+    are bisected.  Arguments other than ints (a bool too) raise ValueError.
     """
     if type(n) is not int or type(k) is not int:
         raise ValueError("root arguments must be ints")
@@ -49,7 +50,7 @@ def nth_root_floor(n: int, k: int) -> int:
         raise ValueError("root index must be >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while k % 2 == 0 and (k == 2 or n.bit_length() < 2 * WIDE_ROOT_STEP_BITS * k):
+    while k % 2 == 0 and (k == 2 or n.bit_length() < ISQRT_HALVING_BITS):
         n = math.isqrt(n)
         k //= 2
     if k == 1 or n in (0, 1):
@@ -91,7 +92,7 @@ def nth_root_floor(n: int, k: int) -> int:
         x -= 1
     # (x + 1)**k >= x**k + k * x**(k-1), so a bound on the right that
     # exceeds n certifies the root without the full-width (x + 1)**k.
-    if s < WIDE_ROOT_STEP_BITS or p + (k * (x >> s) ** (k - 1) << s * (k - 1)) <= n:
+    if p + (k * (x >> s) ** (k - 1) << s * (k - 1)) <= n:
         while (x + 1) ** k <= n:
             x += 1
     return x

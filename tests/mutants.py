@@ -117,7 +117,7 @@ MUTANTS = (
         "exact.py",
         "<< s * (k - 1)) <= n:",
         "<< s * (k - 1)) < n:",
-        ("tests/test_exact.py::test_nth_root_floor_certifies_a_wide_root_without_its_successor_power",),
+        ("tests/test_exact.py::test_nth_root_floor_certifies_a_root_without_its_successor_power",),
     ),
     Mutant(
         "bisection-misses-exact-powers",

@@ -75,7 +75,8 @@ def test_nth_root_floor_even_indices(x, j, odd):
 def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd, monkeypatch):
     # the even part of the index costs exactly j square roots.  A narrow n
     # is itself halved j times; a wide one, at an index above 2, takes its
-    # Newton step at the even index, and only its narrower seeds are halved
+    # Newton step at the even index, and only its seed, under half as wide
+    # and so narrow, is halved
     calls = []
     isqrt = math.isqrt
 
@@ -86,8 +87,8 @@ def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd, monkeypatch):
     monkeypatch.setattr(math, "isqrt", counted)
     k = 2 ** j * odd
     narrow = 3 ** 600 + 1
-    wide = [3 ** (700 * k) + 1] if j <= 5 else []
-    assert all(narrow.bit_length() < 2 * exact.WIDE_ROOT_STEP_BITS * k <= x.bit_length() for x in wide)
+    wide = [3 ** 10_500 + 1] if j <= 5 else []
+    assert all(narrow.bit_length() < exact.ISQRT_HALVING_BITS <= x.bit_length() for x in wide)
     for x in (narrow, *wide):
         calls.clear()
         r = exact.nth_root_floor(x, k)
@@ -141,10 +142,11 @@ def test_nth_root_floor_newton_lands_on_the_root_or_one_above():
     # the seeded Newton step overestimates by at most one, so the closing
     # loops step down at most once and never up; exact powers and their
     # neighbours are the inputs a misplaced comparison would move on.
-    # Roots of 1,200 and 3,000 bits take the truncated wide step, even
-    # indices too.  A base whose low half is all ones has its seed one
-    # above it, so the correction falls a hair short of 1 at its power,
-    # and one overestimated by as little would land below the root
+    # Roots of 900 bits and more take the truncated wide step, and of
+    # 4,500 bits at even indices too.  A base whose low half is all ones
+    # has its seed one above it, so the correction falls a hair short of
+    # 1 at its power, and one overestimated by as little would land below
+    # the root
     rng = random.Random(20231)
     cases = []
     for k in (3, 5, 7, 9, 15, 21, 25):
@@ -153,7 +155,7 @@ def test_nth_root_floor_newton_lands_on_the_root_or_one_above():
             cases += [(base ** k + d, k) for d in (-1, 0, 1)]
             cases.append((rng.getrandbits(bits * k), k))
     for k in (3, 4, 5, 6, 7, 12, 25):
-        for bits in (1_200, 3_000):
+        for bits in (1_200, 4_500):
             half = bits // 2
             ones = (rng.getrandbits(bits - half) | 1 << (bits - half - 1)) << half | (1 << half) - 1
             for base in (rng.getrandbits(bits) | 1 << (bits - 1), ones):
@@ -165,20 +167,22 @@ def test_nth_root_floor_newton_lands_on_the_root_or_one_above():
         assert all(down <= 1 and up == 0 for down, up, _ in moves), (n, k, moves)
 
 
-def test_nth_root_floor_certifies_a_wide_root_without_its_successor_power():
+def test_nth_root_floor_certifies_a_root_without_its_successor_power():
     # (x + 1)**k >= x**k + k * x**(k-1): once that bound, with the low bits
-    # of x dropped, exceeds n, a wide root skips (x + 1)**k.  At x = 2**1500
-    # nothing is dropped, so n = x**k + k * x**(k-1) meets the bound and
-    # is checked, and one less is not; a random wide n is never checked
+    # of x dropped, exceeds n, a root skips (x + 1)**k.  At a power of two
+    # x nothing is dropped, so n = x**k + k * x**(k-1) meets the bound and
+    # is checked, and one less is not; a random n is never checked.  Roots
+    # of 100 bits take the narrow step, of 1,500 bits the wide one
     rng = random.Random(20232)
-    x = 1 << 1_500
-    for k in (3, 4, 7):
-        bound = x ** k + k * x ** (k - 1)
-        wide = rng.getrandbits(1_500 * k)
-        for n, checks in ((bound - 1, 0), (bound, 1), (wide, 0)):
-            r, moves = closing_moves(n, k)
-            assert r ** k <= n < (r + 1) ** k
-            assert moves[0][2] == checks, (k, n == bound, moves)
+    for e in (100, 1_500):
+        x = 1 << e
+        for k in (3, 5, 7):
+            bound = x ** k + k * x ** (k - 1)
+            other = rng.getrandbits(e * k)
+            for n, checks in ((bound - 1, 0), (bound, 1), (other, 0)):
+                r, moves = closing_moves(n, k)
+                assert r ** k <= n < (r + 1) ** k
+                assert moves[0][2] == checks, (e, k, n == bound, moves)
 
 
 def test_nth_root_floor_wide_roots_are_certified():
