@@ -4,9 +4,8 @@
 ``dataclasses.dataclass``, without generating and compiling source code
 for each class: one ``__init__`` that binds positional and keyword
 fields and then calls ``self.__post_init__()`` when the class defines
-one, dataclass ``__eq__``, ``__hash__``, ``__repr__`` and
-``__match_args__``, and ``dataclasses.FrozenInstanceError`` on assignment
-and deletion.
+one, dataclass ``__eq__``, ``__hash__`` and ``__repr__``, and
+``dataclasses.FrozenInstanceError`` on assignment and deletion.
 """
 
 from __future__ import annotations
@@ -26,21 +25,12 @@ def _delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _getter(names: tuple[str, ...]):
-    """The named attributes of an instance as a tuple, also for one name."""
-    get = attrgetter(*names)
-    return get if len(names) > 1 else lambda self: (get(self),)
-
-
-def record(cls=None, *, unhashed: tuple[str, ...] = ()):
+def record(cls):
     """Make the annotated fields of cls a frozen, slotted record.
 
     Fields take their defaults from the class body; a field with a
-    default is followed only by fields with defaults.  Fields named in
-    ``unhashed`` take part in ``==`` but not in the hash.
+    default is followed only by fields with defaults.
     """
-    if cls is None:
-        return lambda cls: record(cls, unhashed=unhashed)
     body = cls.__dict__
     name = cls.__qualname__
     names = tuple(body.get("__annotations__", ()))
@@ -52,15 +42,15 @@ def record(cls=None, *, unhashed: tuple[str, ...] = ()):
     skip = {*names, "__dict__", "__weakref__"}
     namespace = {k: v for k, v in body.items() if k not in skip}
     cls = type(cls)(cls.__name__, cls.__bases__, namespace | {
-        "__slots__": names, "__match_args__": names, "__qualname__": name,
+        "__slots__": names, "__qualname__": name,
         "__setattr__": _setattr, "__delattr__": _delattr,
     })
-    setters = {field: getattr(cls, field).__set__ for field in names}
-    indexed = tuple(enumerate(setters.values()))
+    indexed = tuple(enumerate(getattr(cls, field).__set__ for field in names))
     position = {field: i for i, field in enumerate(names)}
     post_init = hasattr(cls, "__post_init__")
-    values = _getter(names)
-    hashed = _getter(tuple(field for field in names if field not in unhashed))
+    get = attrgetter(*names)
+    # the field values as a tuple, also for one field
+    values = get if n > 1 else lambda self: (get(self),)
 
     def bind(args, kwargs):
         """The field values in order, for a call that is not all-positional."""
@@ -78,18 +68,10 @@ def record(cls=None, *, unhashed: tuple[str, ...] = ()):
         return bound
 
     def __init__(self, *args, **kwargs):
-        if kwargs and not args and len(kwargs) == n:
-            # n distinct keywords, so every field once unless one is unknown
-            try:
-                for field, value in kwargs.items():
-                    setters[field](self, value)
-            except KeyError:
-                bind(args, kwargs)  # raises the TypeError for the unknown name
-        else:
-            if kwargs or len(args) != n:
-                args = bind(args, kwargs)
-            for i, set_field in indexed:
-                set_field(self, args[i])
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for i, set_field in indexed:
+            set_field(self, args[i])
         if post_init:
             self.__post_init__()
 
@@ -99,17 +81,13 @@ def record(cls=None, *, unhashed: tuple[str, ...] = ()):
         return NotImplemented
 
     def __hash__(self):
-        return hash(hashed(self))
+        return hash(values(self))
 
     def __repr__(self):
         fields = ", ".join(map("{}={!r}".format, names, values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since setattr is closed.
-        return self.__class__, values(self)
-
-    for method in (__init__, __eq__, __hash__, __repr__, __reduce__):
+    for method in (__init__, __eq__, __hash__, __repr__):
         method.__qualname__ = f"{name}.{method.__name__}"
         setattr(cls, method.__name__, method)
     return cls

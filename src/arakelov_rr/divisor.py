@@ -162,10 +162,6 @@ class DegreeValue:
             self.floor(), self.rational_part, self.log_terms, self.bounds, self.precision_bits, self
         )
 
-    def shifted(self, delta: Rational) -> "DegreeValue":
-        delta = _checked_rational(delta, "shift")
-        return DegreeValue(self.rational_part + delta, self.log_terms, self.precision_bits)
-
     def approx(self) -> float:
         lo, hi, d = self._enclosure(64)
         return (lo + hi) / (2 * d)

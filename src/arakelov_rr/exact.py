@@ -238,7 +238,8 @@ def materialize_or_bracket(
     With rational = alpha/beta, that is the integer beta-th root of
     2**alpha * prod(p**(m * beta)).  Past MATERIALIZE_CAP_BITS an integer
     x is refused; any other x makes 2**x irrational and is bracketed by
-    log2 comparisons refined up to ``cap`` bits.  Errors name x as ``name``.
+    log2 comparisons refined up to ``cap`` bits, or raises PrecisionError
+    at once when k > cap.  Errors name x as ``name``.
     Under the cap only log-term degrees come here: floor_pow2_rational
     takes a rational's root itself.
 
@@ -274,6 +275,12 @@ def materialize_or_bracket(
     if beta == 1:
         text = f"({name})" if log_terms else abbreviated(alpha)
         raise SizeCapError(f"integer part of 2**{text} is too large to materialize")
+    if k > cap:
+        # Ending the bisection needs enclosure ends, multiples of 2**-cap, on
+        # both sides of x within [log2(t), log2(t + 1)], less than 2**-cap wide.
+        raise PrecisionError(
+            f"cannot separate {name} from log2(t) for t of {k + 1} bits within {cap} bits"
+        )
     return bracket()
 
 

@@ -75,7 +75,18 @@ class PointedMap:
         image = tuple(
             BASEPOINT if v == BASEPOINT else self.image[v - 1] for v in other.image
         )
-        return PointedMap(other.source_size, self.target_size, image)
+        # valid by construction, so built without __post_init__
+        composed = object.__new__(PointedMap)
+        _set_source(composed, other.source_size)
+        _set_target(composed, self.target_size)
+        _set_image(composed, image)
+        return composed
+
+
+#: Set a map's fields past the frozen __setattr__ (the slots' own setters).
+_set_source, _set_target, _set_image = (
+    field.__set__ for field in (PointedMap.source_size, PointedMap.target_size, PointedMap.image)
+)
 
 
 @record

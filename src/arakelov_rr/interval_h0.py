@@ -153,7 +153,7 @@ def _realize_greedy(
     return tuple(chosen)
 
 
-@record(unhashed=("witnesses",))
+@record
 class GeneratingCertificate:
     """A generating set with one admissible witness per target."""
 
@@ -243,7 +243,7 @@ def lower_bound_size(a: int) -> int:
     return (2 * _checked_bound(a)).bit_length()
 
 
-@record(unhashed=("certificate",))
+@record
 class MinSearchResult:
     size: int
     witness: tuple[int, ...]

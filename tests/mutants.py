@@ -193,6 +193,20 @@ MUTANTS = (
         ("tests/test_divisor.py::test_floor_pow2_takes_the_root_when_bracketing_runs_out",),
     ),
     Mutant(
+        "bracket-past-the-cap",
+        "exact.py",
+        "if k > cap:\n",
+        "if False:\n",
+        ("tests/test_divisor.py::test_floor_pow2_refuses_to_bracket_past_the_precision_cap",),
+    ),
+    Mutant(
+        "bracket-one-past-the-cap",
+        "exact.py",
+        "if k > cap:\n",
+        "if k > cap + 1:\n",
+        ("tests/test_divisor.py::test_floor_pow2_refuses_to_bracket_past_the_precision_cap",),
+    ),
+    Mutant(
         "min-search-cut-one-short",
         "interval_h0.py",
         "stop = min(stop, bisect_right(universe, high))",

@@ -1,12 +1,17 @@
 """Command line surface: parsing, formats, exit codes, fault injection."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import arakelov_rr
 from arakelov_rr import cli, divisor, exact, negabinary, verify
 from arakelov_rr.exact import log2_bounds
 
@@ -168,13 +173,37 @@ def test_euler_precision_exhaustion_exit_code(capsys):
 
 
 def test_euler_precision_exhaustion_on_a_huge_place(capsys):
-    # the bracketing compares against log2(t) for a 633,986-bit t, which
-    # the message abbreviates rather than let str() fail on it
+    # the bracketing would compare against log2(t) for 633,986-bit t, which
+    # the message gives by its width rather than let str() fail on it
     code, out, err = run(["euler", "--arch", "1/3", "--place", "3:400000"], capsys)
     assert code == cli.EXIT_PRECISION
     assert out == ""
     assert err.startswith("precision exhausted: cannot separate 1/3 + 400000*log2(3) from")
-    assert "(190849 digits, 633986 bits)" in err
+    assert "log2(t) for t of 633986 bits" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["euler", "--arch", "1999999/2"], ["scan", "999999", "1000000", "--step", "1/2"]],
+    ids=["euler", "scan"],
+)
+def test_bracketing_past_the_cap_exits_3_at_once(argv):
+    # 2**x for x near 10**6 is too wide to materialize, and bisecting
+    # [2**k, 2**(k+1)) cannot separate x from log2(t) once k passes the
+    # comparison cap, so both must exit 3 without bisecting
+    src = Path(arakelov_rr.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "arakelov_rr.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == cli.EXIT_PRECISION
+    assert done.stdout == ""
+    assert re.fullmatch(
+        r"precision exhausted: cannot separate \S+ from log2\(t\)"
+        r" for t of 1000000 bits within 4096 bits\n",
+        done.stderr,
+    ), done.stderr
 
 
 @pytest.mark.parametrize(

@@ -166,21 +166,14 @@ def test_precision_exhaustion_raises():
 
 
 def test_precision_exhaustion_message_abbreviates_huge_ints():
-    # bracketing 2**(1/3 + 400000*log2(3)) compares against log2(t) for a
-    # 633,986-bit t, which str() refuses to print in full
+    # 2**(1/3 + 400000*log2(3)) would be bracketed among 633,986-bit t,
+    # which str() refuses to print in full: the message gives t's width
     value = dv.DegreeValue(Fraction(1, 3), ((3, 400000),))
     with pytest.raises(PrecisionError) as info:
         value.floor_pow2()
     message = str(info.value)
     assert message.startswith("cannot separate 1/3 + 400000*log2(3) from log2(")
-    assert message.endswith("... (190849 digits, 633986 bits)) within 256 bits")
-
-
-def test_shifted():
-    value = dv.DegreeValue(Fraction(1, 2), ((3, 1),))
-    moved = value.shifted(Fraction(3, 2))
-    assert moved.rational_part == 2
-    assert moved.log_terms == value.log_terms
+    assert message.endswith("(t) for t of 633986 bits within 256 bits")
 
 
 def test_str_rendering():
@@ -463,6 +456,28 @@ def test_floor_pow2_brackets_a_wide_denominator_only_below_half_the_precision(mo
         assert roots == root_taken
         q, beta = exact_power(value)
         assert Fraction(t) ** beta <= q < Fraction(t + 1) ** beta
+
+
+def test_floor_pow2_refuses_to_bracket_past_the_precision_cap(monkeypatch):
+    # k = 257, one past the default cap: log2(t + 1) - log2(t) < 1.45 * 2**-k
+    # is below the 2**-256 spacing of every enclosure end, so no bisection
+    # of [2**k, 2**(k+1)) can finish, and none may start
+    value = dv.DegreeValue(Fraction(4097, 8192), ((3, 162),))
+    assert value.floor() == value.precision_bits + 1
+    real = exact.compare_to_log2
+    probes = []
+
+    def counted(bounds, t, cap, name):
+        probes.append(t)
+        return real(bounds, t, cap, name)
+
+    monkeypatch.setattr(exact, "compare_to_log2", counted)
+    with pytest.raises(PrecisionError) as info:
+        value.floor_pow2()
+    assert probes == []
+    assert str(info.value) == (
+        "cannot separate 4097/8192 + 162*log2(3) from log2(t) for t of 258 bits within 256 bits"
+    )
 
 
 def test_floor_pow2_takes_the_root_when_bracketing_runs_out(monkeypatch):

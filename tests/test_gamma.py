@@ -296,6 +296,29 @@ def test_compose_level_mismatch():
         gamma.PointedMap.identity(2).compose(gamma.PointedMap.identity(3))
 
 
+def test_compose_equals_the_validated_constructor():
+    # compose builds its map without __post_init__; on every composable pair
+    # of level <= 2 it must be the checked map of the composed functions
+    maps = [
+        gamma.PointedMap(k, m, image)
+        for k in range(3) for m in range(3)
+        for image in itertools.product(range(m + 1), repeat=k)
+    ]
+    pairs = 0
+    for phi, psi in itertools.product(maps, repeat=2):
+        if psi.target_size != phi.source_size:
+            continue
+        outer = {0: 0, **dict(enumerate(phi.image, 1))}
+        expected = gamma.PointedMap(
+            psi.source_size, phi.target_size, tuple(outer[v] for v in psi.image)
+        )
+        composed = phi.compose(psi)
+        assert composed == expected and hash(composed) == hash(expected)
+        assert repr(composed) == repr(expected)
+        pairs += 1
+    assert pairs == 233
+
+
 def test_pushforward_level_mismatch():
     with pytest.raises(LevelMismatchError):
         gamma.pushforward(gamma.PointedMap.identity(2), gamma.vector(1))
