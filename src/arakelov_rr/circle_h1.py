@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import DomainError, OutOfRangeError, SizeCapError
-from .exact import _checked_rational
+from .exact import _checked_rational, degree_floor
 
 #: Cap on exhaustive subset-sum enumeration (2**m sums).
 SUBSET_SUM_CAP = 24
@@ -191,12 +191,6 @@ def dim_h1(deg2) -> int:
     """Dimension at degree deg2 (log2 units): 0 at and above degree -1,
     and m on the window [-m - 1, -m).
 
-    Accepts any degree carrier exposing floor(), and otherwise an exact
-    rational (an int, Fraction or string); DomainError for anything else.
+    Reads the degree as exact.degree_floor does.
     """
-    if hasattr(deg2, "floor"):
-        fl = deg2.floor()
-    else:
-        q = _checked_rational(deg2, "degree")
-        fl = q.numerator // q.denominator
-    return max(0, -fl - 1)
+    return max(0, -degree_floor(deg2, "degree") - 1)

@@ -91,29 +91,31 @@ def cmd_dim_h0(args):
     if deg < 0:
         lines.append("degree is negative: the module is the base point alone")
     else:
+        # The one root: a >= 1 is the witness of dim, and bounds the interval.
         a = exact.floor_pow2_rational(deg)
         if a >= exact.STR_LIMIT:
             raise SizeCapError(f"integer part of 2**{deg} is too long to print in full")
+        n = a.bit_length()
+        if dim != n + 1:
+            raise FormulaViolation(f"dim H0 = {dim} but floor(2**{deg}) has {n} bits")
         obj["interval_bound"] = str(a)
         lines.append(f"integer part of 2^deg2: a = {a}")
-        if a >= 1:
-            n = a.bit_length()
-            gens = interval_h0.explicit_generating_set(a)
-            obj["n"] = n
-            obj["generating_set"] = list(gens)
-            lines.append(f"bracketing: 2^{n - 1} <= a < 2^{n}, so the dimension is n + 1 = {n + 1}")
-            lines.append(f"generating set (size {len(gens)}): {{{', '.join(map(str, gens))}}}")
-            if a <= 1 << 20:
-                covered = interval_h0.covers(gens, a)
-                obj["certified"] = covered
-                lines.append(
-                    f"certificate: all {2 * a + 1} targets admissibly realized"
-                    if covered
-                    else "certificate: FAILED"
-                )
-            else:
-                obj["certified"] = None
-                lines.append("certificate: skipped (bound above built-in check cap)")
+        gens = interval_h0.explicit_generating_set(a)
+        obj["n"] = n
+        obj["generating_set"] = list(gens)
+        lines.append(f"bracketing: 2^{n - 1} <= a < 2^{n}, so the dimension is n + 1 = {n + 1}")
+        lines.append(f"generating set (size {len(gens)}): {{{', '.join(map(str, gens))}}}")
+        if a <= 1 << 20:
+            covered = interval_h0.covers(gens, a)
+            obj["certified"] = covered
+            lines.append(
+                f"certificate: all {2 * a + 1} targets admissibly realized"
+                if covered
+                else "certificate: FAILED"
+            )
+        else:
+            obj["certified"] = None
+            lines.append("certificate: skipped (bound above built-in check cap)")
     return obj, lines, covered
 
 

@@ -24,6 +24,7 @@ from .errors import DomainError, FormulaViolation, SizeCapError
 from .exact import (
     REFINE_START_BITS,
     _checked_rational,
+    degree_floor,
     floor_pow2_rational,
     is_prime,
     log2_bounds,
@@ -184,11 +185,7 @@ def ceil_prime(x) -> int:
     for n >= 0 (right-continuous, with a jump of two at zero).
     """
     # x >= 0 exactly when floor(x) >= 0, so one floor decides both.
-    if isinstance(x, DegreeValue):
-        k = x.floor()
-    else:
-        x = _checked_rational(x, "argument")
-        k = x.numerator // x.denominator
+    k = degree_floor(x, "argument")
     return k + 1 if k >= 0 else k
 
 
@@ -261,25 +258,26 @@ class EulerCharacteristic:
 def euler_characteristic(
     divisor: ArakelovDivisor, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> EulerCharacteristic:
-    """Compute h0, h1, chi = h0 - h1 and verify chi == ceil_prime(deg2) + 1.
+    """Compute h0, h1, chi = h0 - h1 and the step value ceil_prime(deg2) + 1,
+    all closed forms of floor(deg2), so chi equals the step value.
 
-    Raises FormulaViolation if the identity fails -- which would mean a
-    bug in one of the dimension computations, never a property of the
-    divisor.
+    Takes the witness floor(2**deg2) first, and raises FormulaViolation
+    unless its bit length gives h0 -- which would mean a bug in one of the
+    dimension computations, never a property of the divisor.
     """
     deg = divisor.deg2(precision_bits)
-    x = deg.rational_part if deg.is_rational else deg
-    h0 = dim_h0(x)
-    # h1 and the primed ceiling depend on the floor alone: decide it once.
+    # Before the floor, so that a degree within 2**-cap of 0 runs out of
+    # precision in sign(), with that message.
+    a = deg.floor_pow2()
     k = deg.floor()
-    h1 = dim_h1(k)
-    chi = h0 - h1
-    rhs = ceil_prime(k) + 1
-    if chi != rhs:
+    h0, h1 = dim_h0(k), dim_h1(k)
+    # floor(2**deg2) has h0 - 1 bits from degree 0 on, and is 0 below it.
+    if (a.bit_length() + 1 if a else 0) != h0:
         raise FormulaViolation(
-            f"chi = {h0} - {h1} = {chi} but step formula gives {rhs} at degree {deg}"
+            f"dim H0 = {h0} from floor(deg2) = {k}, but floor(2**deg2) has "
+            f"{a.bit_length()} bits at degree {deg}"
         )
-    return EulerCharacteristic(h0=h0, h1=h1, chi=chi, step_value=rhs, deg2=deg)
+    return EulerCharacteristic(h0=h0, h1=h1, chi=h0 - h1, step_value=ceil_prime(k) + 1, deg2=deg)
 
 
 def _times(x: Fraction, d: int) -> int:
@@ -333,12 +331,11 @@ def rr_scan(lo, hi, step) -> ScanReport:
     violations = []
     for y in sorted(ys):
         x = Fraction(y, d)
-        h0 = dim_h0(x)
-        h1 = dim_h1(x)
-        chi = h0 - h1
-        rhs = ceil_prime(x) + 1
-        rows.append(ScanRow(x, h0, h1, chi, rhs))
-        if chi != rhs:
+        k = y // d
+        h0, h1 = dim_h0(k), dim_h1(k)
+        rows.append(ScanRow(x, h0, h1, h0 - h1, ceil_prime(k) + 1))
+        # The witness, as in euler_characteristic; below 0 both sides are 0.
+        if y >= 0 and floor_pow2_rational(x).bit_length() + 1 != h0:
             violations.append(x)
     return ScanReport(rows=tuple(rows), violations=tuple(violations))
 

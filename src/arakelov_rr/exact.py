@@ -201,7 +201,7 @@ def compare_to_log2(bounds: Enclosure, t: int, cap: int, name) -> int:
             return -1
         return 0 if lo == hi and tlo == thi else None
 
-    return refine(step, cap, lambda: f"cannot separate {name} from log2({abbreviated(t)})")
+    return refine(step, cap, lambda: f"cannot separate {name} from log2({t})")
 
 
 #: Largest intermediate size (in bits, roughly) floor_pow2_rational will
@@ -292,6 +292,18 @@ def _checked_rational(value, what: str) -> Fraction:
     if not isinstance(value, (int, str)):
         raise DomainError(f"{what} must be an exact rational, got {value!r}")
     return Fraction(value)
+
+
+def degree_floor(x, what: str) -> int:
+    """floor(x) for a degree: an int as it is, x.floor() for anything that
+    has one (a DegreeValue), and otherwise the floor of an exact rational
+    (a Fraction or string); DomainError for anything else, naming it ``what``."""
+    if type(x) is int:
+        return x
+    if hasattr(x, "floor"):
+        return x.floor()
+    q = _checked_rational(x, what)
+    return q.numerator // q.denominator
 
 
 def floor_pow2_rational(q: Fraction) -> int:

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 
 from ._record import record
 from .errors import DomainError, OutOfRangeError, SizeCapError
-from .exact import _checked_rational, floor_pow2_rational
+from .exact import degree_floor
 from .gamma import EMPTY_SUM
 
 #: Largest bound the exhaustive minimal-set search accepts: every a up to
@@ -350,16 +350,9 @@ def min_generating_set(
 
 def dim_h0(deg2) -> int:
     """Module dimension at degree deg2 (log2 units): 0 below degree 0,
-    otherwise n + 1 where 2**(n-1) <= floor(2**deg2) < 2**n.
+    otherwise floor(deg2) + 2, the n + 1 with 2**(n-1) <= floor(2**deg2) < 2**n.
 
-    Accepts any degree carrier exposing floor_pow2(), which is 0 exactly
-    below degree 0, and otherwise an exact rational (an int, Fraction or
-    string); DomainError for anything else.
+    Reads the degree as exact.degree_floor does.
     """
-    if hasattr(deg2, "floor_pow2"):
-        a = deg2.floor_pow2()
-        return a.bit_length() + 1 if a else 0
-    q = _checked_rational(deg2, "degree")
-    if q.numerator < 0:
-        return 0
-    return floor_pow2_rational(q).bit_length() + 1
+    k = degree_floor(deg2, "degree")
+    return k + 2 if k >= 0 else 0

@@ -274,14 +274,35 @@ MUTANTS = (
         ("tests/test_negabinary.py::test_verify_bijection_reports",),
     ),
     Mutant(
-        # Survives every test of verify_bijection: each value of a negabinary
-        # window has exactly one mask, so the least and the greatest agree.
-        # Only weights with repeated sums tell them apart.
-        "witness-takes-the-greatest-mask",
+        "lo-witness-takes-the-positive-weights",
         "negabinary.py",
-        "if v < base or not bits >> (v - base) & 1:",
-        "if v - weights[i] >= base and bits >> (v - weights[i] - base) & 1:",
-        ("tests/test_negabinary.py::test_sum_levels_match_itertools_on_random_weights",),
+        "lo_witness=tuple(int(w < 0) for w in weights),",
+        "lo_witness=tuple(int(w > 0) for w in weights),",
+        ("tests/test_negabinary.py::test_verify_bijection_reports",),
+    ),
+    Mutant(
+        "dim-h0-one-too-many",
+        "interval_h0.py",
+        "return k + 2 if k >= 0 else 0",
+        "return k + 3 if k >= 0 else 0",
+        (
+            "tests/test_interval_h0.py::test_dim_h0_spot_values",
+            "tests/test_interval_h0.py::test_dim_h0_closed_form",
+        ),
+    ),
+    Mutant(
+        "euler-drops-its-witness-comparison",
+        "divisor.py",
+        "if (a.bit_length() + 1 if a else 0) != h0:",
+        "if False:",
+        ("tests/test_cli.py::test_euler_exits_1_when_its_witness_is_off_by_one",),
+    ),
+    Mutant(
+        "scan-skips-its-witness",
+        "divisor.py",
+        "if y >= 0 and floor_pow2_rational(x).bit_length() + 1 != h0:",
+        "if False:",
+        ("tests/test_divisor.py::test_rr_scan_reports_where_the_witness_disagrees",),
     ),
 )
 

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import arakelov_rr
-from arakelov_rr import cli, divisor, exact, negabinary, verify
+from arakelov_rr import cli, divisor, exact, interval_h0, negabinary, verify
 from arakelov_rr.exact import log2_bounds
 
 
@@ -109,6 +109,36 @@ def test_dim_h0_refuses_huge_degrees_before_bracketing(capsys):
     assert err == "error: integer part of 2**14285 is too long to print in full\n"
     code, out, _ = run(["dim-h0", "28569/2"], capsys)  # 14284.5, past 10**4300
     assert code == cli.EXIT_USAGE
+
+
+def test_dim_h0_takes_one_root_per_command(monkeypatch, capsys):
+    # the closed form gives the dimension; the one root prints a and is its witness
+    calls = []
+
+    def counted(q, root=exact.floor_pow2_rational):
+        calls.append(q)
+        return root(q)
+
+    for module in (exact, interval_h0):
+        monkeypatch.setattr(module, "floor_pow2_rational", counted, raising=False)
+    for deg, dim in (("5/2", 4), ("0", 2), ("17", 19)):
+        calls.clear()
+        code, out, _ = run(["dim-h0", deg], capsys)
+        assert code == cli.EXIT_OK
+        assert out.startswith(f"dim_S H0 = {dim}\n")
+        assert len(calls) == 1, deg
+    calls.clear()
+    assert run(["dim-h0", "-5/2"], capsys)[0] == cli.EXIT_OK
+    assert calls == []
+
+
+def test_dim_h0_exits_1_when_its_witness_disagrees(monkeypatch, capsys):
+    root = exact.floor_pow2_rational
+    monkeypatch.setattr(exact, "floor_pow2_rational", lambda q: root(q) - 1)
+    code, out, err = run(["dim-h0", "3"], capsys)
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    assert out == ""
+    assert err == "verification failure: dim H0 = 5 but floor(2**3) has 3 bits\n"
 
 
 def test_malformed_degree(capsys):
@@ -260,6 +290,20 @@ def test_euler_refuses_huge_archimedean_and_log_parts(capsys):
     code, out, _ = run(["euler", "--place", "3:700000", "--place", "3:-700000"], capsys)
     assert code == cli.EXIT_OK
     assert "chi = 2" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--arch", "3"], ["--arch", "0"], ["--arch", "-1/2", "--place", "3:1"]],
+)
+def test_euler_exits_1_when_its_witness_is_off_by_one(monkeypatch, capsys, argv):
+    # floor(2**deg) is 8, 1 and 2 here, so one less has one bit fewer
+    witness = divisor.DegreeValue.floor_pow2
+    monkeypatch.setattr(divisor.DegreeValue, "floor_pow2", lambda self: witness(self) - 1)
+    code, out, err = run(["euler", *argv], capsys)
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    assert out == ""
+    assert err.startswith("verification failure: dim H0 = ")
 
 
 def test_euler_high_precision_resolves(capsys):

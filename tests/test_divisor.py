@@ -324,6 +324,37 @@ def test_ceil_prime_on_log_term_degrees_decides_by_the_floor(value):
     assert dv.ceil_prime(value) == value.floor() + (value.sign() >= 0)
 
 
+class Floored:
+    """A degree carrier that exposes only its floor."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def floor(self):
+        return self.k
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_degree_readers_read_anything_with_a_floor(k):
+    assert dim_h0(Floored(k)) == dim_h0(k) == (k + 2 if k >= 0 else 0)
+    assert dim_h1(Floored(k)) == dim_h1(k) == max(0, -k - 1)
+    assert dv.ceil_prime(Floored(k)) == dv.ceil_prime(k)
+
+
+def test_dim_h0_answers_from_the_floor_where_the_root_cannot_be_taken():
+    # 2**(10**7) is past MATERIALIZE_CAP_BITS, and bracketing 2**deg needs
+    # floor(deg) within the precision cap; the floor alone needs neither
+    assert dim_h0(Fraction(10 ** 7)) == 10 ** 7 + 2
+    with pytest.raises(SizeCapError):
+        exact.floor_pow2_rational(10 ** 7)
+    wide = dv.DegreeValue(Fraction(1, 3), ((3, 600000),))
+    k = wide.floor()
+    assert k == 950977
+    assert (dim_h0(wide), dim_h1(wide), dv.ceil_prime(wide)) == (k + 2, 0, k + 1)
+    with pytest.raises(PrecisionError):
+        wide.floor_pow2()
+
+
 # ---------------------------------------------------------------------------
 # divisors
 # ---------------------------------------------------------------------------
@@ -538,10 +569,24 @@ def test_rr_scan_h0_is_the_bit_length_of_the_exact_root():
     # a scan the size of the benchmark's medium self-audit scans: quarter
     # ends, step 1/8 and probes at 1/128, every denominator a power of two
     report = dv.rr_scan(Fraction(-87, 4), Fraction(91, 4), Fraction(1, 8))
+    assert report.passed
     assert len(report.rows) == 445
     for row in report.rows:
         expected = 0 if row.deg2 < 0 else bisect_floor_pow2(row.deg2).bit_length() + 1
         assert row.h0 == expected, row.deg2
+
+
+def test_rr_scan_reports_where_the_witness_disagrees(monkeypatch):
+    # floor(2**x) - 1 has one bit fewer than floor(2**x) where that is a power of 2
+    root = exact.floor_pow2_rational
+    monkeypatch.setattr(dv, "floor_pow2_rational", lambda q: root(q) - 1)
+    report = dv.rr_scan(-2, 3, Fraction(1, 2))
+    assert report.violations == tuple(
+        row.deg2 for row in report.rows
+        if row.deg2 >= 0 and (root(row.deg2) - 1).bit_length() < root(row.deg2).bit_length()
+    )
+    assert {0, 1, 2, 3} <= set(report.violations)
+    assert all(row.h0 == dim_h0(row.deg2) for row in report.rows)
 
 
 def test_rr_scan_single_point():

@@ -202,28 +202,19 @@ def test_verify_bijection_matches_the_mask_and_dict_oracle():
         assert report == expected, n
 
 
-def least_masks_by_itertools(weights):
-    # product yields the words top digit first, so in mask order; the first
-    # word met for a value is its least mask
-    least = {}
+def subset_sums_by_itertools(weights):
     words = itertools.product((0, 1), repeat=len(weights))
-    for mask, top_first in enumerate(words):
-        value = sum(w * d for w, d in zip(weights, reversed(top_first)))
-        least.setdefault(value, mask)
-    return least
+    return {sum(w * d for w, d in zip(weights, word)) for word in words}
 
 
 def assert_sum_levels_match_itertools(weights):
-    levels = negabinary._sum_levels(weights)
-    assert len(levels) == len(weights) + 1
-    for i, (bits, base) in enumerate(levels):
-        least = least_masks_by_itertools(weights[:i])
-        assert bits.bit_count() == len(least)
-        assert base + (bits & -bits).bit_length() - 1 == min(least)
-        assert base + bits.bit_length() - 1 == max(least)
-        assert {base + o for o in range(bits.bit_length()) if bits >> o & 1} == set(least)
-        for value, mask in least.items():
-            assert negabinary._least_mask(levels, weights[:i], value) == mask
+    for i in range(len(weights) + 1):
+        bits, base = negabinary._sum_levels(weights[:i])
+        sums = subset_sums_by_itertools(weights[:i])
+        assert bits.bit_count() == len(sums)
+        assert base + (bits & -bits).bit_length() - 1 == min(sums)
+        assert base + bits.bit_length() - 1 == max(sums)
+        assert {base + o for o in range(bits.bit_length()) if bits >> o & 1} == sums
 
 
 @pytest.mark.parametrize(
