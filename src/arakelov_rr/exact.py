@@ -22,15 +22,40 @@ Enclosure = Callable[[int], tuple[Fraction, Fraction]]
 #: of its divisor, not at full width: the faster step at indices 3 to 12.
 WIDE_ROOT_STEP_BITS = 256
 
-#: An even index above 2 is halved by math.isqrt, a full-width division,
-#: only while n has fewer bits; the step at the index costs as much here.
+#: An even index above 2 is halved by a square root only while n has fewer bits.
 ISQRT_HALVING_BITS = 1 << 14
+
+#: From this width on, square roots split n into limbs; math.isqrt's divides at full width.
+SQRT_SPLIT_BITS = 1 << 12
+
+
+def _sqrt_rem(n: int) -> tuple[int, int]:
+    """(s, n - s*s) for s = isqrt(n), certified at each level as 0 <= n - s*s <= 2s.
+
+    Zimmermann's Karatsuba square root over limbs of h = (bits + 1) // 4 bits: the top
+    root s' >= 2**(h-1) bounds q <= 2**h and q*q <= 2s' << h, so s' << h plus q is the
+    root or one above."""
+    if n.bit_length() < SQRT_SPLIT_BITS:
+        s = math.isqrt(n)
+        r = n - s * s
+    else:
+        h = (n.bit_length() + 1) >> 2
+        s, r = _sqrt_rem(n >> 2 * h)
+        mask = (1 << h) - 1
+        q, u = divmod(r << h | n >> h & mask, s << 1)
+        s = (s << h) + q
+        r = (u << h | n & mask) - q * q
+        if r < 0:
+            s, r = s - 1, r + 2 * s - 1
+    if not 0 <= r <= 2 * s:
+        raise ArithmeticError("a square root failed its remainder certificate")
+    return s, r
 
 
 def nth_root_floor(n: int, k: int) -> int:
     """Largest integer t with t**k <= n, for ints n >= 0, k >= 1.
 
-    An even index is halved by ``math.isqrt`` (for an int t, t**m <=
+    An even index is halved by a square root (for an int t, t**m <=
     isqrt(n) exactly when t**(2m) <= n) while it is 2 or n has fewer
     than ISQRT_HALVING_BITS bits.  Other roots use precision doubling:
     the root of n with its low k*s bits dropped, plus one and shifted
@@ -51,7 +76,7 @@ def nth_root_floor(n: int, k: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     while k % 2 == 0 and (k == 2 or n.bit_length() < ISQRT_HALVING_BITS):
-        n = math.isqrt(n)
+        n = math.isqrt(n) if n.bit_length() < SQRT_SPLIT_BITS else _sqrt_rem(n)[0]
         k //= 2
     if k == 1 or n in (0, 1):
         return n

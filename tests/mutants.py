@@ -67,9 +67,24 @@ MUTANTS = (
     Mutant(
         "isqrt-halves-once-too-often",
         "exact.py",
-        "n = math.isqrt(n)\n        k //= 2\n",
-        "n = math.isqrt(n)\n        k //= 2\n    n = math.isqrt(n)\n",
+        "_sqrt_rem(n)[0]\n        k //= 2\n",
+        "_sqrt_rem(n)[0]\n        k //= 2\n    n = math.isqrt(n)\n",
         EXACT_ROOTS,
+    ),
+    Mutant(
+        "sqrt-drops-its-correction",
+        "exact.py",
+        "        if r < 0:\n            s, r = s - 1, r + 2 * s - 1\n",
+        "",
+        ("tests/test_exact.py::test_sqrt_rem_agrees_with_isqrt",),
+    ),
+    Mutant(
+        # Every root stays right: only a faulty base root leaves 2s + 1.
+        "sqrt-certificate-accepts-one-past",
+        "exact.py",
+        "if not 0 <= r <= 2 * s:",
+        "if not 0 <= r <= 2 * s + 1:",
+        ("tests/test_exact.py::test_sqrt_rem_refuses_a_root_its_remainder_does_not_certify",),
     ),
     Mutant(
         # Every root stays right: the last halving becomes a Newton step.

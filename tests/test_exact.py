@@ -59,42 +59,113 @@ def test_nth_root_floor_exact_powers():
 
 
 @hypothesis.given(
-    wide_ints(3_000),
+    wide_ints(3 * exact.SQRT_SPLIT_BITS),
     st.integers(0, 15),
     st.sampled_from([1, 3, 5]),
 )
 def test_nth_root_floor_even_indices(x, j, odd):
-    # an index 2**j * odd halves j times through isqrt, then takes the odd root
+    # an index 2**j * odd halves j times through square roots, then takes
+    # the odd root; draws reach past SQRT_SPLIT_BITS, where _sqrt_rem takes
+    # the square roots, but not ISQRT_HALVING_BITS
     k = 2 ** j * odd
     r = exact.nth_root_floor(x, k)
     assert r ** k <= x < (r + 1) ** k
 
 
+def traced_lines(n, k, starts):
+    """nth_root_floor(n, k), with the lines of it that begin with one of
+    ``starts`` as each of its calls ran them: per call, a list of (the
+    line's beginning, n when it ran), traced line by line."""
+    lines, first = inspect.getsourcelines(exact.nth_root_floor)
+    stripped = [line.strip() for line in lines]
+    traced = {first + next(i for i, line in enumerate(stripped) if line.startswith(start)): start
+              for start in starts}
+    calls = []
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not exact.nth_root_floor.__code__:
+            return None
+        ran = []
+        calls.append(ran)
+
+        def on_line(frame, event, arg):
+            if event == "line" and frame.f_lineno in traced:
+                ran.append((traced[frame.f_lineno], frame.f_locals["n"]))
+            return on_line
+
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        r = exact.nth_root_floor(n, k)
+    finally:
+        sys.settrace(previous)
+    return r, calls
+
+
 @pytest.mark.parametrize("j", [0, 1, 2, 5, 15])
 @pytest.mark.parametrize("odd", [1, 3, 5])
-def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd, monkeypatch):
-    # the even part of the index costs exactly j square roots.  A narrow n
-    # is itself halved j times; a wide one, at an index above 2, takes its
-    # Newton step at the even index, and only its seed, under half as wide
-    # and so narrow, is halved
-    calls = []
-    isqrt = math.isqrt
-
-    def counted(n):
-        calls.append(n)
-        return isqrt(n)
-
-    monkeypatch.setattr(math, "isqrt", counted)
+def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd):
+    # the even part of the index costs exactly j square roots at the
+    # halving loop, math.isqrt's for a narrow n and _sqrt_rem's for a wide
+    # one.  A narrow n is itself halved j times; a wide one, at an index
+    # above 2, takes its Newton step at the even index, and only its seed,
+    # under half as wide and so narrow, is halved
     k = 2 ** j * odd
     narrow = 3 ** 600 + 1
     wide = [3 ** 10_500 + 1] if j <= 5 else []
+    assert narrow.bit_length() < exact.SQRT_SPLIT_BITS
     assert all(narrow.bit_length() < exact.ISQRT_HALVING_BITS <= x.bit_length() for x in wide)
     for x in (narrow, *wide):
-        calls.clear()
-        r = exact.nth_root_floor(x, k)
-        assert len(calls) == j
-        assert (calls[:1] == [x]) == (j > 0 and (x == narrow or k == 2))
+        r, calls = traced_lines(x, k, ["n = math.isqrt(n)"])
+        taken = [n for ran in calls for _, n in ran]
+        assert len(taken) == j
+        assert (taken[:1] == [x]) == (j > 0 and (x == narrow or k == 2))
         assert r ** k <= x < (r + 1) ** k
+
+
+#: Widths 4b - 1 to 4b + 1 around _sqrt_rem's limb splits: where math.isqrt
+#: takes over (4b = SQRT_SPLIT_BITS) and one and two levels above it.
+SPLIT_WIDTHS = [m * exact.SQRT_SPLIT_BITS + d for m in (1, 2, 4) for d in (-1, 0, 1)]
+
+
+@st.composite
+def sqrt_inputs(draw):
+    """A random n of a split width or of any width to 8 * SQRT_SPLIT_BITS,
+    a perfect square of about that width or one off it, or 2**(width - 1),
+    the shape floor_pow2_rational passes in, of either parity."""
+    width = draw(st.sampled_from(SPLIT_WIDTHS) | st.integers(2, 8 * exact.SQRT_SPLIT_BITS))
+    shape = draw(st.sampled_from(["random", "square", "power"]))
+    if shape == "power":
+        return 1 << (width - 1)
+    if shape == "random":
+        return draw(st.integers(1 << (width - 1), (1 << width) - 1))
+    half = width // 2
+    t = draw(st.integers(1 << (half - 1), (1 << half) - 1))
+    return t * t + draw(st.integers(-1, 1))
+
+
+@hypothesis.given(sqrt_inputs())
+def test_sqrt_rem_agrees_with_isqrt(n):
+    s, r = exact._sqrt_rem(n)
+    assert s == math.isqrt(n)
+    assert r == n - s * s
+    assert 0 <= r <= 2 * s
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_sqrt_rem_refuses_a_root_its_remainder_does_not_certify(off, monkeypatch):
+    # a base root one below a square's root leaves the remainder 2s + 1, one
+    # above it a negative one; either is refused before it is carried down
+    # a level, on a narrow square and on a wide n whose top limbs are one
+    isqrt = math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: isqrt(n) + off)
+    t = 3 ** 1200 + 1
+    assert (t * t).bit_length() < exact.SQRT_SPLIT_BITS <= (t * t << 4000).bit_length()
+    for n in (t * t, t * t << 4000):
+        with pytest.raises(ArithmeticError):
+            exact._sqrt_rem(n)
 
 
 @pytest.mark.parametrize(
@@ -109,33 +180,10 @@ def test_nth_root_floor_refuses_arguments_that_are_not_ints(n, k):
 def closing_moves(n, k):
     """nth_root_floor(n, k), with how often each of its calls moved the
     Newton result down and up in the closing loops, and how often it
-    checked (x + 1)**k <= n, traced line by line."""
-    lines, first = inspect.getsourcelines(exact.nth_root_floor)
-    stripped = [line.strip() for line in lines]
+    checked (x + 1)**k <= n."""
     steps = ("x -= 1", "x += 1", "while (x + 1) ** k <= n:")
-    traced = [first + stripped.index(step) for step in steps]
-    moves = []
-
-    def on_call(frame, event, arg):
-        if frame.f_code is not exact.nth_root_floor.__code__:
-            return None
-        moved = dict.fromkeys(traced, 0)
-        moves.append(moved)
-
-        def on_line(frame, event, arg):
-            if event == "line" and frame.f_lineno in moved:
-                moved[frame.f_lineno] += 1
-            return on_line
-
-        return on_line
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        r = exact.nth_root_floor(n, k)
-    finally:
-        sys.settrace(previous)
-    return r, [tuple(moved[line] for line in traced) for moved in moves]
+    r, calls = traced_lines(n, k, steps)
+    return r, [tuple(sum(line == step for line, _ in ran) for step in steps) for ran in calls]
 
 
 def test_nth_root_floor_newton_lands_on_the_root_or_one_above():
