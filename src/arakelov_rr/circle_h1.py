@@ -127,11 +127,8 @@ def lower_bound_cardinality(lam) -> int:
     """Least k with 2**k * (2 * lam) >= 1: k points yield at most 2**k
     subset sums, and that many closed arcs of radius lam must cover the
     circle of circumference 1."""
-    lam = _checked_lambda(lam)
-    k = 0
-    while 2 * lam * 2 ** k < 1:
-        k += 1
-    return k
+    # 2**k >= 1 / (2 * lam) exactly when 2**k >= its ceiling, which is >= 1
+    return (math.ceil(1 / (2 * _checked_lambda(lam))) - 1).bit_length()
 
 
 @record

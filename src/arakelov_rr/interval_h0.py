@@ -5,8 +5,9 @@ target j in [-a, a] is the sum of some subset Z of G that is *admissible*:
 all subset sums of Z stay inside [-a, a] (equivalently, the positive part
 of Z sums to at most a and the negative part to at least -a).
 
-This module provides the admissibility test, full-interval coverage via a
-bitmask dynamic program, lexicographically-least witnesses, an explicit
+This module provides the admissibility test, full-interval coverage from
+two subset-sum bitsets masked to 0..a (admissibility bounds the positive
+and negative parts apart), lexicographically-least witnesses, an explicit
 size-(n+1) construction for every a with 2**(n-1) <= a < 2**n, a
 deterministic pruned depth-first search for minimal generating sets, and the
 resulting dimension formula for nonnegative degrees.
@@ -61,37 +62,36 @@ def is_admissible(zs: Iterable[int], a: int) -> bool:
     return pos <= a and neg <= a
 
 
-def _extend(states: dict[int, int], g: int, a: int, full: int) -> dict[int, int]:
-    """Admissible load pairs after offering one more generator g.
+def _extend(loads: tuple[int, int], g: int, full: int) -> tuple[int, int]:
+    """Admissible loads after offering one more generator g.
 
-    Key: negative load q in 0..a.  Value: bitmask with bit p set when some
-    subset has positive part p and negative part q.  Admissibility prunes
-    as it goes: loads above a are dropped, positive ones by masking with
-    full = (1 << (a + 1)) - 1.  The input is left unchanged.
+    loads = (ps, qs): bit p of ps is set when the positive generators have
+    a subset summing to p, bit q of qs when the negated negative ones have
+    a subset summing to q; both are masked by full = (1 << (a + 1)) - 1.
     """
+    ps, qs = loads
     if g > 0:
-        return {q: mask | ((mask << g) & full) for q, mask in states.items()}
-    out = dict(states)
-    for q, mask in states.items():
-        if q - g <= a:
-            out[q - g] = out.get(q - g, 0) | mask
-    return out
+        return ps | ((ps << g) & full), qs
+    return ps, qs | ((qs << -g) & full)
 
 
-def _reachable(generators: Sequence[int], a: int) -> dict[int, int]:
-    """Admissible load pairs over all subsets of generators (see _extend)."""
+def _reachable(generators: Sequence[int], a: int) -> tuple[int, int]:
+    """Admissible loads over all subsets of generators (see _extend)."""
     full = (1 << (a + 1)) - 1
-    states = {0: 1}
+    loads = (1, 1)
     for g in generators:
-        states = _extend(states, g, a, full)
-    return states
+        loads = _extend(loads, g, full)
+    return loads
 
 
-def _coverage(states: dict[int, int], a: int) -> int:
+def _coverage(loads: tuple[int, int], a: int) -> int:
     """Bitmask over [-a, a] (bit j + a) of sums p - q reachable admissibly."""
+    ps, qs = loads
     out = 0
-    for q, mask in states.items():
-        out |= mask << (a - q)
+    while qs:
+        q = qs.bit_length() - 1
+        qs ^= 1 << q
+        out |= ps << (a - q)
     return out
 
 
@@ -107,34 +107,31 @@ def first_unrealizable(generators: Iterable[int], a: int) -> int | None:
     a = _checked_bound(a)
     gs = _checked_generators(generators, a)
     mask = _coverage(_reachable(gs, a), a)
-    for j in range(-a, a + 1):
-        if not (mask >> (j + a)) & 1:
-            return j
-    return None
+    j = (~mask & (mask + 1)).bit_length() - 1 - a
+    return j if j <= a else None
 
 
-def _suffix_states(gs: Sequence[int], a: int) -> list[dict[int, int]]:
+def _suffix_states(gs: Sequence[int], a: int) -> list[tuple[int, int]]:
     """suffix[i] = reachable loads using only generators gs[i:]."""
     full = (1 << (a + 1)) - 1
-    suffix = [{0: 1}]
+    suffix = [(1, 1)]
     for g in reversed(gs):
-        suffix.append(_extend(suffix[-1], g, a, full))
+        suffix.append(_extend(suffix[-1], g, full))
     return suffix[::-1]
 
 
-def _completable(states: dict[int, int], j: int, p: int, q: int, a: int) -> bool:
-    """Can loads (p, q) be extended by some state to total sum j admissibly?"""
-    for q2, mask in states.items():
-        if q + q2 > a:
-            continue
-        p2 = j - p + q + q2
-        if 0 <= p2 <= a - p and (mask >> p2) & 1:
-            return True
-    return False
+def _completable(loads: tuple[int, int], j: int, p: int, q: int, a: int) -> bool:
+    """Can loads (p, q) be extended by some subset in loads to total sum j
+    admissibly?  That needs p2 in ps up to a - p and q2 in qs up to a - q
+    with p2 - q2 = j - p + q."""
+    ps = loads[0] & ((2 << (a - p)) - 1)
+    qs = loads[1] & ((2 << (a - q)) - 1)
+    shift = j - p + q
+    return bool((qs << shift if shift >= 0 else qs >> -shift) & ps)
 
 
 def _realize_greedy(
-    j: int, gs: Sequence[int], a: int, suffix: Sequence[dict[int, int]]
+    j: int, gs: Sequence[int], a: int, suffix: Sequence[tuple[int, int]]
 ) -> tuple[int, ...] | None:
     if not _completable(suffix[0], j, 0, 0, a):
         return None
@@ -179,10 +176,9 @@ def generates(generators: Iterable[int], a: int) -> GeneratingCertificate | None
     """Certificate with witnesses for all of [-a, a], or None if any target fails."""
     a = _checked_bound(a)
     gs = _checked_generators(generators, a)
-    states = _reachable(gs, a)
-    if _coverage(states, a) != (1 << (2 * a + 1)) - 1:
-        return None
     suffix = _suffix_states(gs, a)
+    if _coverage(suffix[0], a) != (1 << (2 * a + 1)) - 1:
+        return None
     witnesses = {}
     for j in range(-a, a + 1):
         w = _realize_greedy(j, gs, a, suffix)
@@ -257,40 +253,41 @@ def _search_level(
     """Generating sets of the given size in itertools.combinations order of
     the sorted universe: the first one, or all of them.
 
-    A depth-first search over prefixes, extending the load DP by one
-    generator per step.  With pruning, a prefix is cut when no completion
-    can generate: each pick at most doubles the c covered sums, so r picks
-    left need c << r >= 2a + 1; and realizing a and -a needs positive and
-    negative parts each summing to at least a, which the r largest values
-    still available must be able to supply.  When the picks left are all
-    positive, or only one is left, each new sum is a covered sum plus at
-    least the next pick g (picks rise along the universe), so g may carry
-    the least covered sum no further than the least missing one.  The last
-    pick only shifts covered sums by g, so it must also carry the greatest
-    covered sum to or above the greatest missing one.
+    A depth-first search over prefixes, extending the two load bitsets by
+    one generator per step.  With pruning, a prefix is cut when no
+    completion can generate: each pick at most doubles the c covered sums,
+    so r picks left need c << r >= 2a + 1; and realizing -a needs negative
+    load exactly a, which the greatest one reached so far plus the r
+    largest negated values still available must supply (realizing a needs
+    no such check: a itself is always still available).  When the picks
+    left are all positive, or only one is left, each new sum is a covered
+    sum plus at least the next pick g (picks rise along the universe), so g
+    may carry the least covered sum no further than the least missing one.
+    The last pick only shifts covered sums by g, so it must also carry the
+    greatest covered sum to or above the greatest missing one.
     """
     n = len(universe)
-    loads = (1 << (a + 1)) - 1
+    full = (1 << (a + 1)) - 1
     targets = (1 << (2 * a + 1)) - 1
     picked: list[int] = []
     found: list[tuple[int, ...]] = []
 
-    def visit(start: int, states: dict[int, int], pos: int, neg: int) -> None:
+    def visit(start: int, loads: tuple[int, int]) -> None:
         r = size - len(picked)
         if r == 0:
-            if _coverage(states, a) == targets:
+            if _coverage(loads, a) == targets:
                 found.append(tuple(picked))
             return
         stop = n - r + 1
         if prune:
-            covered = _coverage(states, a)
+            covered = _coverage(loads, a)
             if covered.bit_count() << r < 2 * a + 1:
                 return
-            # The most the r picks left can add to each side: the k largest
-            # negatives left (start - a, start - a + 1, ...), the j largest
-            # positives (a, a - 1, ...).
-            k, j = min(r, max(0, a - start)), min(r, a)
-            if neg + k * (a - start) - k * (k - 1) // 2 < a or pos + j * a - j * (j - 1) // 2 < a:
+            # The k largest negatives left: start - a, start - a + 1, ...  The
+            # positive twin, j = min(r, a) >= 1 values a, a - 1, ..., always
+            # sums to at least a, so it never cuts.
+            k = min(r, max(0, a - start))
+            if loads[1].bit_length() - 1 + k * (a - start) - k * (k - 1) // 2 < a:
                 return
             missing = targets ^ covered
             if missing and (r == 1 or universe[start] > 0):
@@ -304,12 +301,12 @@ def _search_level(
         for i in range(start, stop):
             g = universe[i]
             picked.append(g)
-            visit(i + 1, _extend(states, g, a, loads), pos + max(g, 0), neg + max(-g, 0))
+            visit(i + 1, _extend(loads, g, full))
             picked.pop()
             if found and not collect_all:
                 return
 
-    visit(0, {0: 1}, 0, 0)
+    visit(0, (1, 1))
     return found
 
 

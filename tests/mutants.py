@@ -253,6 +253,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "completable-mask-one-short",
+        "interval_h0.py",
+        "(2 << (a - p)) - 1",
+        "(1 << (a - p)) - 1",
+        (
+            "tests/test_interval_h0.py::test_completable_matches_bruteforce",
+            "tests/test_interval_h0.py::test_realize_agrees_with_oracle",
+        ),
+    ),
+    Mutant(
+        "extend-drops-the-admissibility-mask",
+        "interval_h0.py",
+        "ps | ((ps << g) & full)",
+        "ps | (ps << g)",
+        (
+            "tests/test_interval_h0.py::test_reachable_is_two_masked_subset_sum_bitsets",
+            "tests/test_interval_h0.py::test_covers_matches_bruteforce",
+        ),
+    ),
+    Mutant(
+        "negative-balance-bound-on-equality",
+        "interval_h0.py",
+        "k * (k - 1) // 2 < a:",
+        "k * (k - 1) // 2 <= a:",
+        (
+            "tests/test_interval_h0.py::test_min_search_small",
+            "tests/test_interval_h0.py::test_min_search_first_witness_matches_combination_oracle",
+        ),
+    ),
+    Mutant(
+        "search-window-one-short",
+        "interval_h0.py",
+        "stop = n - r + 1",
+        "stop = n - r",
+        (
+            "tests/test_interval_h0.py::test_min_search_first_witness_matches_combination_oracle",
+            "tests/test_interval_h0.py::test_min_search_all_minima_match_combination_oracle",
+        ),
+    ),
+    Mutant(
         "membership-scales-numerators-by-the-whole-lcm",
         "gamma.py",
         "e.numerator * (scale // e.denominator)",

@@ -307,6 +307,8 @@ def test_lower_bound_cardinality():
     assert circle_h1.lower_bound_cardinality(Fraction(3, 16)) == 2
     for m in range(0, 16):
         assert circle_h1.lower_bound_cardinality(Fraction(1, 2 ** (m + 1))) == m
+    assert circle_h1.lower_bound_cardinality(Fraction(1, 2 ** 20001)) == 20000
+    assert circle_h1.lower_bound_cardinality(Fraction(1, 2 ** 20001 - 1)) == 20000
 
 
 @hypothesis.given(st.fractions(min_value=Fraction(1, 4096), max_value=1, max_denominator=4096))

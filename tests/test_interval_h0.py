@@ -85,6 +85,48 @@ def test_first_unrealizable_is_least_missing(case):
     assert interval_h0.first_unrealizable(gens, a) == expected
 
 
+def oracle_subset_sum_bits(values, a):
+    """Bit s set for each subset sum s of values in 0..a."""
+    bits = 0
+    for r in range(len(values) + 1):
+        for combo in itertools.combinations(values, r):
+            if sum(combo) <= a:
+                bits |= 1 << sum(combo)
+    return bits
+
+
+@hypothesis.given(generator_sets())
+def test_reachable_is_two_masked_subset_sum_bitsets(case):
+    a, gens = case
+    positives = [g for g in gens if g > 0]
+    negated = [-g for g in gens if g < 0]
+    expected = (oracle_subset_sum_bits(positives, a), oracle_subset_sum_bits(negated, a))
+    assert interval_h0._reachable(gens, a) == expected
+
+
+@hypothesis.given(generator_sets())
+def test_completable_matches_bruteforce(case):
+    # every suffix, every target and every admissible (p, q), the edges
+    # p = a, q = a and a negative shift j - p + q included
+    a, gens = case
+    gs = tuple(sorted(gens))
+    suffix = interval_h0._suffix_states(gs, a)
+    for i in range(len(gs) + 1):
+        completions = set()
+        for r in range(len(gs) - i + 1):
+            for combo in itertools.combinations(gs[i:], r):
+                pos = sum(z for z in combo if z > 0)
+                neg = -sum(z for z in combo if z < 0)
+                for p in range(a - pos + 1):
+                    for q in range(a - neg + 1):
+                        completions.add((p - q + pos - neg, p, q))
+        for j in range(-a, a + 1):
+            for p in range(a + 1):
+                for q in range(a + 1):
+                    expected = (j, p, q) in completions
+                    assert interval_h0._completable(suffix[i], j, p, q, a) == expected
+
+
 def realize(j, gens, a):
     """The greedy witness for j over the sorted generators, as generates
     takes it, or None."""
@@ -293,7 +335,7 @@ def test_min_search_all_minima_counts_match_the_pinned_ones():
 
 
 def test_min_search_work_at_a20_is_bounded(monkeypatch):
-    # a count of load-DP steps, not a wall-clock bound: 700 with the
+    # a count of load-DP steps, not a wall-clock bound: 694 with the
     # positive-tail cut, about 14,600 with only the last-pick range rule
     calls = 0
     extend = interval_h0._extend
