@@ -22,11 +22,40 @@ Enclosure = Callable[[int], tuple[Fraction, Fraction]]
 #: of its divisor, not at full width: the faster step at indices 3 to 12.
 WIDE_ROOT_STEP_BITS = 256
 
-#: An even index above 2 is halved by a square root only while n has fewer bits.
-ISQRT_HALVING_BITS = 1 << 14
-
-#: From this width on, square roots split n into limbs; math.isqrt's divides at full width.
+#: From this width on, square roots split n into limbs; divisions by a wider b split b.
 SQRT_SPLIT_BITS = 1 << 12
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for an n-bit b and 0 <= a < b << n, certified as 0 <= r < b.
+
+    Burnikel and Ziegler's recursive division (MPI-I-98-1-022) over Karatsuba
+    products, as in CPython 3.12's _pylong; quadratic divmod takes a narrow b."""
+    if n <= SQRT_SPLIT_BITS:
+        q, r = divmod(a, b)
+        if not 0 <= r < b:
+            raise ArithmeticError("a division failed its remainder certificate")
+        return q, r
+    if pad := n & 1:
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    # a12 // b1 overestimates the quotient by at most two, as b's top bit is set
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q, r = q - 1, r + b
+    return q, r
 
 
 def _sqrt_rem(n: int) -> tuple[int, int]:
@@ -42,7 +71,7 @@ def _sqrt_rem(n: int) -> tuple[int, int]:
         h = (n.bit_length() + 1) >> 2
         s, r = _sqrt_rem(n >> 2 * h)
         mask = (1 << h) - 1
-        q, u = divmod(r << h | n >> h & mask, s << 1)
+        q, u = _div2n1n(r << h | n >> h & mask, s << 1, s.bit_length() + 1)
         s = (s << h) + q
         r = (u << h | n & mask) - q * q
         if r < 0:
@@ -55,16 +84,16 @@ def _sqrt_rem(n: int) -> tuple[int, int]:
 def nth_root_floor(n: int, k: int) -> int:
     """Largest integer t with t**k <= n, for ints n >= 0, k >= 1.
 
-    An even index is halved by a square root (for an int t, t**m <=
-    isqrt(n) exactly when t**(2m) <= n) while it is 2 or n has fewer
-    than ISQRT_HALVING_BITS bits.  Other roots use precision doubling:
-    the root of n with its low k*s bits dropped, plus one and shifted
-    left by s, overestimates the root with about half its bits right, so
-    a single Newton step lands on it or one above.  With s >=
-    WIDE_ROOT_STEP_BITS that step divides only by the top s + O(1) bits
-    of its divisor, with an error below 2**-20; narrower ones divide n at
-    full width.  The closing section steps down while t**k > n, then
-    certifies n < (t+1)**k from t**k + k * t**(k-1) <= (t+1)**k, the low
+    An even index is halved by a square root at every width (for an int
+    t, t**m <= isqrt(n) exactly when t**(2m) <= n), cheaper than a Newton
+    step at the even index.  Other roots use precision doubling: the root
+    of n with its low k*s bits dropped, plus one and shifted left by s,
+    overestimates the root with about half its bits right, so a single
+    Newton step lands on it or one above.  With s >= WIDE_ROOT_STEP_BITS
+    that step divides only by the top s + O(1) bits of its divisor, by
+    _div2n1n, with an error below 2**-20; narrower ones divide n at full
+    width.  The closing section steps down while t**k > n, then certifies
+    n < (t+1)**k from t**k + k * t**(k-1) <= (t+1)**k, the low
     s bits of t dropped, computing (t+1)**k only when that bound is not
     above n.  Roots too narrow to split (a few bits more than log2(k))
     are bisected.  Arguments other than ints (a bool too) raise ValueError.
@@ -75,7 +104,7 @@ def nth_root_floor(n: int, k: int) -> int:
         raise ValueError("root index must be >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while k % 2 == 0 and (k == 2 or n.bit_length() < ISQRT_HALVING_BITS):
+    while k % 2 == 0:
         n = math.isqrt(n) if n.bit_length() < SQRT_SPLIT_BITS else _sqrt_rem(n)[0]
         k //= 2
     if k == 1 or n in (0, 1):
@@ -111,7 +140,8 @@ def nth_root_floor(n: int, k: int) -> int:
         power = y ** (k - 1)
         divisor = k * power
         t = divisor.bit_length() - (s + 2 * guard + 16)
-        q = (((power * y) << (k * s)) - n >> (t + s * (k - 1) - 2)) // ((divisor >> t) + 1)
+        d = (divisor >> t) + 1
+        q = _div2n1n(((power * y) << (k * s)) - n >> (t + s * (k - 1) - 2), d, d.bit_length())[0]
         x -= (q + 4) >> 2
     while (p := x ** k) > n:
         x -= 1

@@ -61,6 +61,8 @@ EXACT_ROOTS = (
     "tests/test_exact.py::test_nth_root_floor_even_indices",
 )
 
+DIV_BRANCHES = "tests/test_exact.py::test_div2n1n_takes_the_shortcut_and_the_double_correction"
+
 NEWTON_LANDS = "tests/test_exact.py::test_nth_root_floor_newton_lands_on_the_root_or_one_above"
 
 MUTANTS = (
@@ -90,17 +92,41 @@ MUTANTS = (
         # Every root stays right: the last halving becomes a Newton step.
         "isqrt-halves-once-too-few",
         "exact.py",
-        "while k % 2 == 0 and (",
-        "while k % 4 == 0 and (",
+        "while k % 2 == 0:",
+        "while k % 4 == 0:",
         EXACT_ROOTS,
     ),
     Mutant(
-        # Every root stays right: a wide n of index 2 takes a Newton step.
-        "isqrt-skips-a-wide-square-root",
+        "div-corrects-only-once",
         "exact.py",
-        "(k == 2 or n.bit_length()",
-        "(n.bit_length()",
-        EXACT_ROOTS,
+        "while r < 0:",
+        "if r < 0:",
+        (DIV_BRANCHES, "tests/test_exact.py::test_div2n1n_agrees_with_divmod"),
+    ),
+    Mutant(
+        "div-drops-the-pad-shift",
+        "exact.py",
+        "a, b, n = a << 1, b << 1, n + 1",
+        "a, b, n = a, b, n + 1",
+        (
+            "tests/test_exact.py::test_div2n1n_pads_an_odd_width",
+            "tests/test_exact.py::test_div2n1n_agrees_with_divmod",
+        ),
+    ),
+    Mutant(
+        "div-shortcut-quotient-one-low",
+        "exact.py",
+        "q, r = (1 << n) - 1, a12",
+        "q, r = (1 << n) - 2, a12",
+        (DIV_BRANCHES,),
+    ),
+    Mutant(
+        # Every quotient stays right: only a faulty base divmod leaves r = b.
+        "div-certificate-accepts-r-equal-b",
+        "exact.py",
+        "if not 0 <= r < b:",
+        "if not 0 <= r <= b:",
+        ("tests/test_exact.py::test_div2n1n_refuses_a_quotient_its_remainder_does_not_certify",),
     ),
     Mutant(
         "closing-loop-steps-down-on-equality",
@@ -121,8 +147,8 @@ MUTANTS = (
         # hair below an integer, as at base 2**bits - 1, then lands low.
         "wide-step-truncates-the-divisor-down",
         "exact.py",
-        "// ((divisor >> t) + 1)",
-        "// (divisor >> t)",
+        "d = (divisor >> t) + 1",
+        "d = divisor >> t",
         (NEWTON_LANDS,),
     ),
     Mutant(
@@ -243,6 +269,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # Every witness still generates at the least size; only which of the
+        # minima is met first changes.
+        "min-search-visits-in-reverse",
+        "interval_h0.py",
+        "for i in range(start, stop):",
+        "for i in reversed(range(start, stop)):",
+        (
+            "tests/test_interval_h0.py::test_min_search_first_witnesses_match_the_pinned_ones",
+            "tests/test_interval_h0.py::test_min_search_first_witness_matches_combination_oracle",
+        ),
+    ),
+    Mutant(
+        # Every answer stays right: only subtrees without a witness are cut.
+        "min-search-drops-the-positive-tail-cut",
+        "interval_h0.py",
+        "if missing and (r == 1 or universe[start] > 0):",
+        "if missing and r == 1:",
+        ("tests/test_interval_h0.py::test_min_search_work_at_a20_is_bounded",),
+    ),
+    Mutant(
         "realize-takes-a-generator-it-could-skip",
         "interval_h0.py",
         "if _completable(suffix[i + 1], j, p, q, a):\n            continue",
@@ -322,6 +368,14 @@ MUTANTS = (
         ("tests/test_circle_h1.py::test_certify_family_small",),
     ),
     Mutant(
+        # F(m) is on the grid, so only a family off it tells the tests apart.
+        "grid-test-trusts-the-sum-count",
+        "circle_h1.py",
+        "on_grid = all((s << m) % d == 0 for s in sums)",
+        "on_grid = all((s << m) % d == 0 for s in sums) or len(sums) == 2 ** m",
+        ("tests/test_circle_h1.py::test_certify_family_refuses_sums_off_the_dyadic_grid",),
+    ),
+    Mutant(
         "bijection-counts-one-value-too-many",
         "negabinary.py",
         "distinct = bits.bit_count()",
@@ -334,6 +388,14 @@ MUTANTS = (
         "lo_witness=tuple(int(w < 0) for w in weights),",
         "lo_witness=tuple(int(w > 0) for w in weights),",
         ("tests/test_negabinary.py::test_verify_bijection_reports",),
+    ),
+    Mutant(
+        # An encode with one digit too many keeps the value it decodes to.
+        "negabinary-roundtrip-skips-the-width-check",
+        "verify.py",
+        "if len(word.digits) != n or negabinary.decode(word) != q:",
+        "if negabinary.decode(word) != q:",
+        ("tests/test_negabinary.py::test_verify_negabinary_catches_an_encode_of_the_wrong_width",),
     ),
     Mutant(
         "dim-h0-one-too-many",

@@ -288,6 +288,16 @@ def test_certify_family_small():
             assert cert.separation is None
 
 
+def test_certify_family_refuses_sums_off_the_dyadic_grid(monkeypatch):
+    # 1/3 and 1/6 have four distinct subset sums, 0, 1/6, 1/3 and 1/2, as
+    # many as F(2), but not the quarters: the count alone is no grid
+    monkeypatch.setattr(circle_h1, "f_generators", lambda m: (Fraction(1, 3), Fraction(1, 6)))
+    cert = circle_h1.certify_family(2)
+    assert cert.sum_count == 4
+    assert not cert.sums_are_dyadic_grid
+    assert not cert.passed
+
+
 def test_certify_family_matches_the_two_pass_fraction_oracle():
     for m in range(1, 15):
         assert circle_h1.certify_family(m) == two_pass_certify_family(m), m

@@ -66,31 +66,33 @@ def test_nth_root_floor_exact_powers():
 def test_nth_root_floor_even_indices(x, j, odd):
     # an index 2**j * odd halves j times through square roots, then takes
     # the odd root; draws reach past SQRT_SPLIT_BITS, where _sqrt_rem takes
-    # the square roots, but not ISQRT_HALVING_BITS
+    # the square roots
     k = 2 ** j * odd
     r = exact.nth_root_floor(x, k)
     assert r ** k <= x < (r + 1) ** k
 
 
-def traced_lines(n, k, starts):
-    """nth_root_floor(n, k), with the lines of it that begin with one of
-    ``starts`` as each of its calls ran them: per call, a list of (the
-    line's beginning, n when it ran), traced line by line."""
-    lines, first = inspect.getsourcelines(exact.nth_root_floor)
+def traced_lines(call, args, starts, traced=None):
+    """call(*args), with the lines of ``traced`` (call itself by default)
+    that begin with one of ``starts`` as each of its calls ran them: per
+    call, a list of (the line's beginning, n when it ran), traced line by
+    line."""
+    traced = traced or call
+    lines, first = inspect.getsourcelines(traced)
     stripped = [line.strip() for line in lines]
-    traced = {first + next(i for i, line in enumerate(stripped) if line.startswith(start)): start
-              for start in starts}
+    found = {first + next(i for i, line in enumerate(stripped) if line.startswith(start)): start
+             for start in starts}
     calls = []
 
     def on_call(frame, event, arg):
-        if frame.f_code is not exact.nth_root_floor.__code__:
+        if frame.f_code is not traced.__code__:
             return None
         ran = []
         calls.append(ran)
 
         def on_line(frame, event, arg):
-            if event == "line" and frame.f_lineno in traced:
-                ran.append((traced[frame.f_lineno], frame.f_locals["n"]))
+            if event == "line" and frame.f_lineno in found:
+                ran.append((found[frame.f_lineno], frame.f_locals["n"]))
             return on_line
 
         return on_line
@@ -98,7 +100,7 @@ def traced_lines(n, k, starts):
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        r = exact.nth_root_floor(n, k)
+        r = call(*args)
     finally:
         sys.settrace(previous)
     return r, calls
@@ -109,19 +111,16 @@ def traced_lines(n, k, starts):
 def test_nth_root_floor_takes_one_isqrt_per_factor_of_two(j, odd):
     # the even part of the index costs exactly j square roots at the
     # halving loop, math.isqrt's for a narrow n and _sqrt_rem's for a wide
-    # one.  A narrow n is itself halved j times; a wide one, at an index
-    # above 2, takes its Newton step at the even index, and only its seed,
-    # under half as wide and so narrow, is halved
+    # one, and the first of them is taken on n itself, whatever its width
     k = 2 ** j * odd
     narrow = 3 ** 600 + 1
-    wide = [3 ** 10_500 + 1] if j <= 5 else []
-    assert narrow.bit_length() < exact.SQRT_SPLIT_BITS
-    assert all(narrow.bit_length() < exact.ISQRT_HALVING_BITS <= x.bit_length() for x in wide)
-    for x in (narrow, *wide):
-        r, calls = traced_lines(x, k, ["n = math.isqrt(n)"])
+    wide = 3 ** 10_500 + 1
+    assert narrow.bit_length() < exact.SQRT_SPLIT_BITS < wide.bit_length()
+    for x in (narrow, wide):
+        r, calls = traced_lines(exact.nth_root_floor, (x, k), ["n = math.isqrt(n)"])
         taken = [n for ran in calls for _, n in ran]
         assert len(taken) == j
-        assert (taken[:1] == [x]) == (j > 0 and (x == narrow or k == 2))
+        assert (taken[:1] == [x]) == (j > 0)
         assert r ** k <= x < (r + 1) ** k
 
 
@@ -168,6 +167,99 @@ def test_sqrt_rem_refuses_a_root_its_remainder_does_not_certify(off, monkeypatch
             exact._sqrt_rem(n)
 
 
+#: Divisor widths around _div2n1n's base: where divmod takes over, one step
+#: above it (odd, so padded) and two levels above it.
+DIV_WIDTHS = [exact.SQRT_SPLIT_BITS + d for d in (-1, 0, 1)] + [
+    m * exact.SQRT_SPLIT_BITS + d for m in (2, 4) for d in (-1, 0, 1)
+]
+
+
+@st.composite
+def div_inputs(draw):
+    """(a, b, n): an n-bit b of a width around the base, or of any width
+    to 8 * SQRT_SPLIT_BITS, and 0 <= a < b << n, random, a multiple of b,
+    or the largest, whose quotient is all ones."""
+    n = draw(st.sampled_from(DIV_WIDTHS) | st.integers(1, 8 * exact.SQRT_SPLIT_BITS))
+    b = draw(st.integers(1 << (n - 1), (1 << n) - 1))
+    shape = draw(st.sampled_from(["random", "multiple", "largest"]))
+    if shape == "largest":
+        return (b << n) - 1, b, n
+    q = draw(st.integers(0, (1 << n) - 1))
+    return q * b + (0 if shape == "multiple" else draw(st.integers(0, b - 1))), b, n
+
+
+@hypothesis.given(div_inputs())
+def test_div2n1n_agrees_with_divmod(case):
+    a, b, n = case
+    assert exact._div2n1n(a, b, n) == divmod(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_div2n1n_pads_an_odd_width(m):
+    # an odd n above the base is shifted up a bit, and the remainder back
+    rng = random.Random(20234 + m)
+    n = m * exact.SQRT_SPLIT_BITS + 1
+    for _ in range(3):
+        b = rng.getrandbits(n) | 1 << (n - 1)
+        a = rng.randrange(b << n)
+        assert exact._div2n1n(a, b, n) == divmod(a, b)
+
+
+def test_div2n1n_takes_the_shortcut_and_the_double_correction():
+    # (b << n) - 1 has its top half equal to b's, so every level's top
+    # quotient is all ones; a b of top half 2**(h-1) and bottom half all
+    # ones, divided into (2**(2h-1) - 2**(h-1)) << n, takes 2**h - 1 from
+    # the top halves, two above the quotient 2**h - 3
+    n = 2 * exact.SQRT_SPLIT_BITS
+    h = n // 2
+    b = (1 << (n - 1)) + (1 << h) - 1
+    rng = random.Random(20235)
+    full = [((c << n) - 1, c) for c in (b, rng.getrandbits(n) | 1 << (n - 1))]
+    double = ((1 << (n - 1)) - (1 << (h - 1))) << n
+    shortcut, correction = "q, r = (1 << n) - 1", "q, r = q - 1, r + b"
+    for a, divisor in (*full, (double, b)):
+        (q, r), calls = traced_lines(
+            exact._div2n1n, (a, divisor, n), [shortcut, correction], traced=exact._div3n2n
+        )
+        ran = [[line for line, _ in lines] for lines in calls]
+        assert (q, r) == divmod(a, divisor)
+        if a == double:
+            assert q >> h == (1 << h) - 3
+            assert ran[0].count(correction) == 2
+        else:
+            assert q == (1 << n) - 1
+            assert all(shortcut in lines for lines in ran)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_div2n1n_refuses_a_quotient_its_remainder_does_not_certify(off, monkeypatch):
+    # a base quotient one low leaves the remainder b on an exact multiple,
+    # one high a negative one; either is refused, on a divisor at the base
+    # width and on one two levels above it
+    def divmod_off(a, b):
+        q = a // b + off
+        return q, a - q * b
+
+    monkeypatch.setattr(exact, "divmod", divmod_off, raising=False)
+    rng = random.Random(20236)
+    for n in (exact.SQRT_SPLIT_BITS, 4 * exact.SQRT_SPLIT_BITS):
+        b = rng.getrandbits(n) | 1 << (n - 1)
+        with pytest.raises(ArithmeticError):
+            exact._div2n1n(b * (rng.getrandbits(n) | 1), b, n)
+
+
+@pytest.mark.parametrize("k", [4, 8, 12, 64])
+def test_nth_root_floor_wide_even_indices(k):
+    # n of 2**17 - 1 and 2**17 + 1 bits, whose halvings take _sqrt_rem and
+    # its recursive division, random and at powers and their neighbours
+    rng = random.Random(20237 + k)
+    for width in ((1 << 17) - 1, (1 << 17) + 1):
+        base = rng.getrandbits(width // k) | 1 << (width // k - 1)
+        for n in (rng.getrandbits(width) | 1 << (width - 1), base ** k - 1, base ** k, base ** k + 1):
+            x = exact.nth_root_floor(n, k)
+            assert x ** k <= n < (x + 1) ** k
+
+
 @pytest.mark.parametrize(
     "n, k",
     [(10, 1.0), (10.0, 1), (10, True), (True, 2), (Fraction(10), 2), ("10", 2), (10, Fraction(2))],
@@ -182,7 +274,7 @@ def closing_moves(n, k):
     Newton result down and up in the closing loops, and how often it
     checked (x + 1)**k <= n."""
     steps = ("x -= 1", "x += 1", "while (x + 1) ** k <= n:")
-    r, calls = traced_lines(n, k, steps)
+    r, calls = traced_lines(exact.nth_root_floor, (n, k), steps)
     return r, [tuple(sum(line == step for line, _ in ran) for step in steps) for ran in calls]
 
 
