@@ -25,6 +25,16 @@ def run(argv, capsys):
     return code, out, err
 
 
+def run_fresh(argv, timeout=10):
+    """The command line in a fresh interpreter, killed after timeout seconds."""
+    src = Path(arakelov_rr.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "arakelov_rr.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
 # ---------------------------------------------------------------------------
 # dimensions
 # ---------------------------------------------------------------------------
@@ -221,12 +231,7 @@ def test_bracketing_past_the_cap_exits_3_at_once(argv):
     # 2**x for x near 10**6 is too wide to materialize, and bisecting
     # [2**k, 2**(k+1)) cannot separate x from log2(t) once k passes the
     # comparison cap, so both must exit 3 without bisecting
-    src = Path(arakelov_rr.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "arakelov_rr.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
+    done = run_fresh(argv)
     assert done.returncode == cli.EXIT_PRECISION
     assert done.stdout == ""
     assert re.fullmatch(
@@ -335,6 +340,17 @@ def test_scan_json_row_count(capsys):
     assert payload["passed"] is True
     # grid -1, 0, 1 plus probes -1+p, 0-p, 0+p, 1-p
     assert payload["points"] == 7
+
+
+def test_scan_answers_at_once_in_a_fresh_process():
+    # near degree 16,000 each probe at step 1/4 has denominator 64, whose
+    # floor(2**x) is an index-64 root of a 1,024,000-bit power; the witness
+    # needs only the comparison of 2**x with powers of two
+    done = run_fresh(["--format", "json", "scan", "16000", "16400", "--step", "1/4"])
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["points"] == 2401
+    assert payload["passed"] is True
 
 
 def test_scan_and_figure_are_capped(capsys):
