@@ -39,9 +39,9 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
 
-#: Degree magnitudes beyond this would materialize astronomically wide
-#: integers in floor(2**deg2); refuse them at the door (for euler, the
-#: archimedean part and a bound on the places' log part).
+#: Degree magnitudes beyond this are refused at the door, by every command:
+#: euler's witness floor(2**deg2) would be astronomically wide there (for
+#: euler, the archimedean part and a bound on the places' log part).
 MAX_DEGREE_MAGNITUDE = 10 ** 6
 
 

@@ -285,6 +285,13 @@ def _times(x: Fraction, d: int) -> int:
     return x.numerator * (d // x.denominator)
 
 
+def floor_pow2_has_bits(alpha: int, beta: int, bits: int) -> bool:
+    """Whether floor(2**(alpha/beta)) has exactly ``bits`` bits, for ints
+    alpha >= 0 and beta >= 1: whether 2**(bits-1) <= 2**(alpha/beta) < 2**bits,
+    that is (bits - 1) * beta <= alpha < bits * beta, without building 2**alpha."""
+    return (bits - 1) * beta <= alpha < bits * beta
+
+
 @record
 class ScanRow:
     deg2: Fraction
@@ -329,13 +336,16 @@ def rr_scan(lo, hi, step) -> ScanReport:
         ys.update(y for y in (n - offset, n, n + offset) if low <= y <= high)
     rows = []
     violations = []
+    cell = None
     for y in sorted(ys):
         x = Fraction(y, d)
         k = y // d
-        h0, h1 = dim_h0(k), dim_h1(k)
-        rows.append(ScanRow(x, h0, h1, h0 - h1, ceil_prime(k) + 1))
+        # The closed forms are constant on each cell [k, k + 1).
+        if k != cell:
+            cell, h0, h1, step_value = k, dim_h0(k), dim_h1(k), ceil_prime(k) + 1
+        rows.append(ScanRow(x, h0, h1, h0 - h1, step_value))
         # The witness, as in euler_characteristic; below 0 both sides are 0.
-        if y >= 0 and floor_pow2_rational(x).bit_length() + 1 != h0:
+        if y >= 0 and not floor_pow2_has_bits(y, d, h0 - 1):
             violations.append(x)
     return ScanReport(rows=tuple(rows), violations=tuple(violations))
 

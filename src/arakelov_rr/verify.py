@@ -24,11 +24,11 @@ NEGABINARY_N_MAX = 16
 #: Grid of the euler-identity suite.
 IDENTITY_GRID = (Fraction(-6), Fraction(6), Fraction(1, 4))
 #: Default and largest bound of the construction suite (verify-lemma33
-#: --construction-max); the command takes about 1.2 s at the cap.
+#: --construction-max); the command takes 0.6-0.9 s at the cap in a fresh process.
 CONSTRUCTION_MAX = 512
 CONSTRUCTION_CAP = 1 << 15
 #: Default and largest m of the circle suite (verify-h1 --max-m); the
-#: command takes about 1.2 s at the cap, twice that one step above.
+#: command takes 0.6-0.9 s at the cap, about twice that one step above.
 CIRCLE_M_MAX = 12
 CIRCLE_M_CAP = 16
 

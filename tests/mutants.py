@@ -172,10 +172,7 @@ MUTANTS = (
         "exact.py",
         "return nth_root_floor(1 << a, b)",
         "return nth_root_floor(1 << (a - 1), b)",
-        (
-            "tests/test_exact.py::test_floor_pow2_rational_under_the_cap_takes_the_root_from_ints",
-            "tests/test_divisor.py::test_rr_scan_h0_is_the_bit_length_of_the_exact_root",
-        ),
+        ("tests/test_exact.py::test_floor_pow2_rational_under_the_cap_takes_the_root_from_ints",),
     ),
     Mutant(
         "negative-multiplicity-takes-the-lower-log2-bound",
@@ -417,9 +414,23 @@ MUTANTS = (
     Mutant(
         "scan-skips-its-witness",
         "divisor.py",
-        "if y >= 0 and floor_pow2_rational(x).bit_length() + 1 != h0:",
+        "if y >= 0 and not floor_pow2_has_bits(y, d, h0 - 1):",
         "if False:",
         ("tests/test_divisor.py::test_rr_scan_reports_where_the_witness_disagrees",),
+    ),
+    Mutant(
+        "power-comparison-admits-its-upper-bound",
+        "divisor.py",
+        "return (bits - 1) * beta <= alpha < bits * beta",
+        "return (bits - 1) * beta <= alpha <= bits * beta",
+        ("tests/test_divisor.py::test_floor_pow2_has_bits_is_the_bit_length_of_the_exact_root",),
+    ),
+    Mutant(
+        "scan-never-refreshes-its-cell",
+        "divisor.py",
+        "if k != cell:",
+        "if cell is None:",
+        ("tests/test_divisor.py::test_rr_scan_h0_is_the_bit_length_of_the_exact_root",),
     ),
 )
 

@@ -1,13 +1,19 @@
 """Command line surface: parsing, formats, exit codes, fault injection."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import jsonschema
 import pytest
 
@@ -222,15 +228,11 @@ def test_euler_precision_exhaustion_on_a_huge_place(capsys):
     assert "log2(t) for t of 633986 bits" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["euler", "--arch", "1999999/2"], ["scan", "999999", "1000000", "--step", "1/2"]],
-    ids=["euler", "scan"],
-)
+@pytest.mark.parametrize("argv", [["euler", "--arch", "1999999/2"]], ids=["euler"])
 def test_bracketing_past_the_cap_exits_3_at_once(argv):
     # 2**x for x near 10**6 is too wide to materialize, and bisecting
     # [2**k, 2**(k+1)) cannot separate x from log2(t) once k passes the
-    # comparison cap, so both must exit 3 without bisecting
+    # comparison cap, so euler's witness must exit 3 without bisecting
     done = run_fresh(argv)
     assert done.returncode == cli.EXIT_PRECISION
     assert done.stdout == ""
@@ -342,15 +344,67 @@ def test_scan_json_row_count(capsys):
     assert payload["points"] == 7
 
 
-def test_scan_answers_at_once_in_a_fresh_process():
+@pytest.mark.parametrize(
+    "lo, hi, step, points",
+    [("16000", "16400", "1/4", 2401), ("999999", "1000000", "1/2", 5)],
+    ids=["probes-of-denominator-64", "past-the-materialize-cap"],
+)
+def test_scan_answers_at_once_in_a_fresh_process(lo, hi, step, points):
     # near degree 16,000 each probe at step 1/4 has denominator 64, whose
-    # floor(2**x) is an index-64 root of a 1,024,000-bit power; the witness
-    # needs only the comparison of 2**x with powers of two
-    done = run_fresh(["--format", "json", "scan", "16000", "16400", "--step", "1/4"])
+    # floor(2**x) is an index-64 root of a 1,024,000-bit power, and near
+    # 10**6 that power is past the materialize cap; the witness needs
+    # only the comparison of 2**x with powers of two
+    done = run_fresh(["--format", "json", "scan", lo, hi, "--step", step])
     assert done.returncode == cli.EXIT_OK, done.stderr
     payload = json.loads(done.stdout)
-    assert payload["points"] == 2401
+    assert payload["points"] == points
     assert payload["passed"] is True
+
+
+def scan_point_count(lo, hi, step):
+    """How many distinct points a scan checks: lo + i * step up to hi, each
+    integer in range, and the probes min(step, 1)/16 to either side of an
+    integer that stay in range."""
+    points = {lo + i * step for i in range(math.floor((hi - lo) / step) + 1)}
+    probe = min(step, 1) / 16
+    for n in range(math.ceil(lo), math.floor(hi) + 1):
+        points.update(x for x in (n - probe, Fraction(n), n + probe) if lo <= x <= hi)
+    return len(points)
+
+
+@st.composite
+def scan_arguments(draw):
+    """lo within the degree magnitude cap, hi above lo (at times past the
+    cap), and a step whose grid lands on either side of the point cap."""
+    lo = draw(st.fractions(-(10 ** 6), 10 ** 6, max_denominator=64))
+    width = draw(st.one_of(
+        st.fractions(0, 8, max_denominator=16), st.fractions(0, 4000, max_denominator=4)
+    ))
+    cells = draw(st.integers(1, 2 * divisor.MAX_SCAN_POINTS))
+    step = draw(st.one_of(
+        st.just((width or 1) / cells), st.fractions(Fraction(1, 1000), 10, max_denominator=1000)
+    ))
+    hypothesis.assume(step > 0)
+    return lo, lo + width, step
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(scan_arguments())
+@hypothesis.example((Fraction(16000), Fraction(16400), Fraction(1, 4)))
+@hypothesis.example((Fraction(997501), Fraction(1000000), Fraction(1)))
+@hypothesis.example((Fraction(-1000000), Fraction(-997501), Fraction(1)))
+@hypothesis.example((Fraction(999999), Fraction(1000001), Fraction(1, 2)))
+def test_every_admitted_scan_answers(arguments):
+    lo, hi, step = arguments
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--format", "json", "scan", str(lo), str(hi), "--step", str(step)])
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE), err.getvalue()
+    assert "internal error:" not in err.getvalue()
+    if code == cli.EXIT_OK:
+        payload = json.loads(out.getvalue())
+        assert payload["passed"] is True
+        assert payload["points"] == scan_point_count(lo, hi, step)
 
 
 def test_scan_and_figure_are_capped(capsys):

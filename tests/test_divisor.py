@@ -576,14 +576,30 @@ def test_rr_scan_h0_is_the_bit_length_of_the_exact_root():
         assert row.h0 == expected, row.deg2
 
 
+def test_floor_pow2_has_bits_is_the_bit_length_of_the_exact_root():
+    # every scan includes the integers in range, where 2**x is a power of two
+    # and a bit count one short would pass an inclusive upper bound
+    report = dv.rr_scan(0, 6, Fraction(1, 3))
+    for x in (row.deg2 for row in report.rows):
+        bits = bisect_floor_pow2(x).bit_length()
+        for claimed in (bits - 1, bits, bits + 1):
+            assert dv.floor_pow2_has_bits(
+                x.numerator, x.denominator, claimed
+            ) == (claimed == bits), (x, claimed)
+        # the same answer at a common denominator, as the scan asks it
+        assert dv.floor_pow2_has_bits(7 * x.numerator, 7 * x.denominator, bits)
+
+
 def test_rr_scan_reports_where_the_witness_disagrees(monkeypatch):
-    # floor(2**x) - 1 has one bit fewer than floor(2**x) where that is a power of 2
-    root = exact.floor_pow2_rational
-    monkeypatch.setattr(dv, "floor_pow2_rational", lambda q: root(q) - 1)
+    # 2**((alpha - 1)/beta) lies below 2**(alpha/beta), and its floor has one
+    # bit fewer exactly where alpha/beta is an integer
+    has_bits = dv.floor_pow2_has_bits
+    monkeypatch.setattr(
+        dv, "floor_pow2_has_bits", lambda alpha, beta, bits: has_bits(alpha - 1, beta, bits)
+    )
     report = dv.rr_scan(-2, 3, Fraction(1, 2))
     assert report.violations == tuple(
-        row.deg2 for row in report.rows
-        if row.deg2 >= 0 and (root(row.deg2) - 1).bit_length() < root(row.deg2).bit_length()
+        row.deg2 for row in report.rows if row.deg2 >= 0 and row.deg2.denominator == 1
     )
     assert {0, 1, 2, 3} <= set(report.violations)
     assert all(row.h0 == dim_h0(row.deg2) for row in report.rows)
