@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -20,6 +19,7 @@ import pytest
 import arakelov_rr
 from arakelov_rr import cli, divisor, exact, interval_h0, negabinary, verify
 from arakelov_rr.exact import log2_bounds
+from test_divisor import walked_scan_points
 
 
 def run(argv, capsys):
@@ -361,17 +361,6 @@ def test_scan_answers_at_once_in_a_fresh_process(lo, hi, step, points):
     assert payload["passed"] is True
 
 
-def scan_point_count(lo, hi, step):
-    """How many distinct points a scan checks: lo + i * step up to hi, each
-    integer in range, and the probes min(step, 1)/16 to either side of an
-    integer that stay in range."""
-    points = {lo + i * step for i in range(math.floor((hi - lo) / step) + 1)}
-    probe = min(step, 1) / 16
-    for n in range(math.ceil(lo), math.floor(hi) + 1):
-        points.update(x for x in (n - probe, Fraction(n), n + probe) if lo <= x <= hi)
-    return len(points)
-
-
 @st.composite
 def scan_arguments(draw):
     """lo within the degree magnitude cap, hi above lo (at times past the
@@ -384,7 +373,6 @@ def scan_arguments(draw):
     step = draw(st.one_of(
         st.just((width or 1) / cells), st.fractions(Fraction(1, 1000), 10, max_denominator=1000)
     ))
-    hypothesis.assume(step > 0)
     return lo, lo + width, step
 
 
@@ -404,7 +392,7 @@ def test_every_admitted_scan_answers(arguments):
     if code == cli.EXIT_OK:
         payload = json.loads(out.getvalue())
         assert payload["passed"] is True
-        assert payload["points"] == scan_point_count(lo, hi, step)
+        assert payload["points"] == len(walked_scan_points(lo, hi, step))
 
 
 def test_scan_and_figure_are_capped(capsys):
