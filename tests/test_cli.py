@@ -361,6 +361,28 @@ def test_scan_answers_at_once_in_a_fresh_process(lo, hi, step, points):
     assert payload["passed"] is True
 
 
+def test_scan_builds_no_rows_and_takes_each_closed_form_once_per_cell(monkeypatch):
+    # the command prints the point count and the violations, never a row
+    built = []
+    row = divisor.ScanRow
+    monkeypatch.setattr(divisor, "ScanRow", lambda *fields: built.append(fields) or row(*fields))
+    calls = {name: [] for name in ("dim_h0", "dim_h1", "ceil_prime")}
+    for name, seen in calls.items():
+        form = getattr(divisor, name)
+        monkeypatch.setattr(divisor, name, lambda k, form=form, seen=seen: seen.append(k) or form(k))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--format", "json", "scan", "-89/4", "87/4", "--step", "1/8"])
+    assert code == cli.EXIT_OK
+    points = walked_scan_points(Fraction(-89, 4), Fraction(87, 4), Fraction(1, 8))
+    assert json.loads(out.getvalue())["points"] == len(points) == 441
+    assert built == []
+    cells = sorted({x.numerator // x.denominator for x in points})
+    assert calls["dim_h0"] == cells
+    for seen in calls.values():
+        assert seen == sorted(set(seen)) and set(seen) <= set(cells)
+
+
 @st.composite
 def scan_arguments(draw):
     """lo within the degree magnitude cap, hi above lo (at times past the

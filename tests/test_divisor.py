@@ -649,6 +649,27 @@ def walked_scan_points(lo, hi, step):
     return sorted(points)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, step",
+    [
+        (Fraction(-9, 2), Fraction(-1, 3), Fraction(2, 3)),
+        (Fraction(-89, 4), Fraction(87, 4), Fraction(1, 8)),
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1)),
+    ],
+    ids=["negative-range", "probes-at-step-1/8", "single-point"],
+)
+def test_rr_scan_rows_are_the_walked_points_with_their_closed_forms(lo, hi, step):
+    report = dv.rr_scan(lo, hi, step)
+    expected = tuple(
+        dv.ScanRow(x, dim_h0(x), dim_h1(x), dim_h0(x) - dim_h1(x), dv.ceil_prime(x) + 1)
+        for x in walked_scan_points(lo, hi, step)
+    )
+    assert report.points == len(expected)
+    # the rows are rebuilt at each read, the same each time
+    assert report.rows == expected
+    assert report.rows == expected
+
+
 def walked_figure_points(lo, hi, samples_per_unit):
     """The sample points of figure_data, by the Fraction walk it once took."""
     points = []
