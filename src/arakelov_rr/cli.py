@@ -250,11 +250,11 @@ def cmd_scan(args):
         "lo": str(args.lo),
         "hi": str(args.hi),
         "step": str(args.step),
-        "points": len(report.rows),
+        "points": report.points,
         "passed": report.passed,
         "violations": [str(v) for v in report.violations],
     }
-    lines = [f"checked {len(report.rows)} grid points on [{args.lo}, {args.hi}]"]
+    lines = [f"checked {report.points} grid points on [{args.lo}, {args.hi}]"]
     lines.append(
         "identity holds everywhere" if report.passed
         else f"identity FAILS at {', '.join(map(str, report.violations))}"

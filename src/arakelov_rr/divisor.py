@@ -303,12 +303,44 @@ class ScanRow:
 
 @record
 class ScanReport:
-    rows: tuple[ScanRow, ...]
+    """What rr_scan checked: its arguments, its point count and the points
+    where the witness disagrees."""
+
+    lo: Fraction
+    hi: Fraction
+    step: Fraction
+    points: int
     violations: tuple[Fraction, ...]
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    @property
+    def rows(self) -> tuple[ScanRow, ...]:
+        """Each point with its closed forms, sorted, rebuilt at each read."""
+        d, ys = _scan_points(self.lo, self.hi, self.step)
+        rows = []
+        for y in ys:
+            x, k = Fraction(y, d), y // d
+            h0, h1 = dim_h0(k), dim_h1(k)
+            rows.append(ScanRow(x, h0, h1, h0 - h1, ceil_prime(k) + 1))
+        return tuple(rows)
+
+
+def _scan_points(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[int, list[int]]:
+    """(d, ys): the scan's points are y/d for the sorted ints ys."""
+    probe = min(step, Fraction(1)) / 16
+    d = math.lcm(lo.denominator, hi.denominator, step.denominator, probe.denominator)
+    low, high, stride, offset = (_times(v, d) for v in (lo, hi, step, probe))
+    # The integers n in range and their probes n +- offset that stay in it:
+    # only the first integer's left probe can fall below lo.
+    first = math.ceil(lo) * d
+    left = first - offset if first - offset >= low else first - offset + d
+    ys = set(range(low, high + 1, stride))
+    ys.update(range(first, high + 1, d), range(first + offset, high + 1, d),
+              range(left, high - offset + 1, d))
+    return d, sorted(ys)
 
 
 def rr_scan(lo, hi, step) -> ScanReport:
@@ -316,6 +348,8 @@ def rr_scan(lo, hi, step) -> ScanReport:
     integer in range and probes just left and right of each integer
     (the function is a step function; jumps happen exactly at integers).
     Raises SizeCapError when that is more than MAX_SCAN_POINTS points.
+    The points are decided as ints; a row is built only when
+    ``ScanReport.rows`` is read.
     """
     lo = _checked_rational(lo, "lo")
     hi = _checked_rational(hi, "hi")
@@ -327,27 +361,18 @@ def rr_scan(lo, hi, step) -> ScanReport:
     integers = max(0, math.floor(hi) - math.ceil(lo) + 1)
     if math.floor((hi - lo) / step) + 1 + 3 * integers > MAX_SCAN_POINTS:
         raise SizeCapError(f"scan capped at {MAX_SCAN_POINTS} grid points and integer probes")
-    probe = min(step, Fraction(1)) / 16
-    # Every point is y/d for an int y, so the points are built and sorted as ints.
-    d = math.lcm(lo.denominator, hi.denominator, step.denominator, probe.denominator)
-    low, high, stride, offset = (_times(v, d) for v in (lo, hi, step, probe))
-    ys = set(range(low, high + 1, stride))
-    for n in range(math.ceil(lo) * d, high + 1, d):
-        ys.update(y for y in (n - offset, n, n + offset) if low <= y <= high)
-    rows = []
+    d, ys = _scan_points(lo, hi, step)
     violations = []
     cell = None
-    for y in sorted(ys):
-        x = Fraction(y, d)
+    for y in ys:
         k = y // d
-        # The closed forms are constant on each cell [k, k + 1).
+        # h0 is a closed form, constant on each cell [k, k + 1).
         if k != cell:
-            cell, h0, h1, step_value = k, dim_h0(k), dim_h1(k), ceil_prime(k) + 1
-        rows.append(ScanRow(x, h0, h1, h0 - h1, step_value))
+            cell, h0 = k, dim_h0(k)
         # The witness, as in euler_characteristic; below 0 both sides are 0.
         if y >= 0 and not floor_pow2_has_bits(y, d, h0 - 1):
-            violations.append(x)
-    return ScanReport(rows=tuple(rows), violations=tuple(violations))
+            violations.append(Fraction(y, d))
+    return ScanReport(lo, hi, step, len(ys), tuple(violations))
 
 
 @record

@@ -225,7 +225,8 @@ def verify_golden_table(inject_fault: bool = False) -> SuiteResult:
 
 
 def verify_construction(a_max: int = CONSTRUCTION_MAX) -> SuiteResult:
-    """The explicit size-(n+1) construction generates for every a up to a_max."""
+    """The explicit size-(n+1) construction generates for every a up to a_max,
+    and the counting lower bound says no smaller set does."""
     _check_suite_bound("construction bound", a_max, CONSTRUCTION_CAP)
     result = SuiteResult("interval-construction")
     for a in range(1, a_max + 1):
@@ -233,6 +234,9 @@ def verify_construction(a_max: int = CONSTRUCTION_MAX) -> SuiteResult:
         expected_size = a.bit_length() + 1
         if len(set(gens)) != expected_size:
             result.check(False, f"a={a}: construction has wrong size or repeats")
+            continue
+        if interval_h0.lower_bound_size(a) != expected_size:
+            result.check(False, f"a={a}: counting lower bound does not meet the construction")
             continue
         if not interval_h0.covers(gens, a):
             gap = interval_h0.first_unrealizable(gens, a)
@@ -282,7 +286,7 @@ def verify_identity() -> SuiteResult:
         report.passed,
         f"identity fails at {report.violations[:3] if report.violations else ()}",
     )
-    result.checks += len(report.rows)
+    result.checks += report.points
     zero = euler_characteristic(ArakelovDivisor.zero())
     result.check((zero.h0, zero.h1, zero.chi) == (2, 0, 2), "wrong dimensions at the zero divisor")
     canonical = euler_characteristic(ArakelovDivisor.canonical())

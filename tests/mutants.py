@@ -2,7 +2,10 @@
 
 Run from anywhere, with the test requirements installed:
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME...]
+
+With names, only those mutants run, and an unknown name exits 2; without,
+all of them run.
 
 Each mutant names a module under ``src/arakelov_rr``, a source fragment
 that occurs there exactly once, its replacement, and the test node ids
@@ -10,7 +13,7 @@ that must fail once it is applied.  Every run copies ``src/``, ``tests/``
 and ``pyproject.toml`` into a temporary directory and runs tests there in
 a subprocess with PYTHONPATH set to the copy; the checkout, its
 hypothesis database included, is never written.  First the named tests
-of all mutants run once on an unmutated copy: they must pass within a
+of the chosen mutants run once on an unmutated copy: they must pass within a
 quarter of TIMEOUT_S, or no verdict could be trusted.  Then each mutant
 gets its own copy with its one swap applied, and it is caught when its
 tests fail (or hang past TIMEOUT_S).  The exit status is 1 unless every
@@ -64,6 +67,8 @@ EXACT_ROOTS = (
 DIV_BRANCHES = "tests/test_exact.py::test_div2n1n_takes_the_shortcut_and_the_double_correction"
 
 NEWTON_LANDS = "tests/test_exact.py::test_nth_root_floor_newton_lands_on_the_root_or_one_above"
+
+SCAN_ROWS = "tests/test_divisor.py::test_rr_scan_rows_are_the_walked_points_with_their_closed_forms"
 
 MUTANTS = (
     Mutant(
@@ -432,6 +437,29 @@ MUTANTS = (
         "if cell is None:",
         ("tests/test_divisor.py::test_rr_scan_h0_is_the_bit_length_of_the_exact_root",),
     ),
+    Mutant(
+        "scan-rows-read-the-cell-below",
+        "divisor.py",
+        "x, k = Fraction(y, d), y // d",
+        "x, k = Fraction(y, d), y // d - 1",
+        (SCAN_ROWS,),
+    ),
+    Mutant(
+        "scan-counts-one-point-short",
+        "divisor.py",
+        "ScanReport(lo, hi, step, len(ys), tuple(violations))",
+        "ScanReport(lo, hi, step, len(ys) - 1, tuple(violations))",
+        ("tests/test_cli.py::test_every_admitted_scan_answers", SCAN_ROWS),
+    ),
+    Mutant(
+        # The golden table stops at a = 15, so only the construction suite,
+        # which compares the bound with every a, sees it.
+        "lower-bound-one-short-from-16",
+        "interval_h0.py",
+        "return (2 * _checked_bound(a)).bit_length()",
+        "return (2 * _checked_bound(a)).bit_length() - (a >= 16)",
+        ("tests/test_cli.py::test_verify_lemma33",),
+    ),
 )
 
 
@@ -463,13 +491,20 @@ def run(tests: list[str], mutant: Mutant | None = None) -> tuple[int | None, flo
         return done.returncode, time.perf_counter() - t0, output
 
 
-def main() -> int:
-    misplaced = [m.name for m in MUTANTS if occurrences(m) != 1]
+def main(names: list[str]) -> int:
+    """Run the named mutants, or all of them when no name is given."""
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {unknown}")
+        return 2
+    chosen = [by_name[name] for name in dict.fromkeys(names)] or list(MUTANTS)
+    misplaced = [m.name for m in chosen if occurrences(m) != 1]
     if misplaced:
         print(f"fragments not found exactly once: {misplaced}")
         return 2
     t0 = time.perf_counter()
-    tests = list(dict.fromkeys(node for m in MUTANTS for node in m.tests))
+    tests = list(dict.fromkeys(node for m in chosen for node in m.tests))
     status, seconds, output = run(tests)
     if status != 0 or seconds > TIMEOUT_S / 4:
         print(output)
@@ -478,7 +513,7 @@ def main() -> int:
         return 2
     print(f"{'passed':8}  {seconds:6.1f}s  {len(tests)} named tests, unmutated", flush=True)
     caught = 0
-    for mutant in MUTANTS:
+    for mutant in chosen:
         status, seconds, output = run(list(mutant.tests), mutant)
         # Only failing tests (exit status 1) or a hang catch a mutant; a
         # pytest usage or collection error is an ERROR.
@@ -487,9 +522,9 @@ def main() -> int:
             print(output)
         caught += verdict == "caught"
         print(f"{verdict:8}  {seconds:6.1f}s  {mutant.name}", flush=True)
-    print(f"{caught} of {len(MUTANTS)} caught in {time.perf_counter() - t0:.1f}s")
-    return 0 if caught == len(MUTANTS) else 1
+    print(f"{caught} of {len(chosen)} caught in {time.perf_counter() - t0:.1f}s")
+    return 0 if caught == len(chosen) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

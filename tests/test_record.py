@@ -32,7 +32,7 @@ SPECS = {
         "finite_part archimedean_log2", {"finite_part": (), "archimedean_log2": Fraction(0)}),
     divisor.EulerCharacteristic: ("h0 h1 chi step_value deg2", {}),
     divisor.ScanRow: ("deg2 h0 h1 chi step_value", {}),
-    divisor.ScanReport: ("rows violations", {}),
+    divisor.ScanReport: ("lo hi step points violations", {}),
     divisor.StepFunctionSeries: ("lo hi samples jump_points", {}),
     gamma.PointedMap: ("source_size target_size image", {}),
     gamma.PointedVector: ("entries", {}),
