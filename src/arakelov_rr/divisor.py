@@ -303,8 +303,7 @@ class ScanRow:
 
 @record
 class ScanReport:
-    """What rr_scan checked: its arguments, its point count and the points
-    where the witness disagrees."""
+    """rr_scan's arguments, its point count and where its witness disagrees."""
 
     lo: Fraction
     hi: Fraction
@@ -333,8 +332,7 @@ def _scan_points(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[int, list[
     probe = min(step, Fraction(1)) / 16
     d = math.lcm(lo.denominator, hi.denominator, step.denominator, probe.denominator)
     low, high, stride, offset = (_times(v, d) for v in (lo, hi, step, probe))
-    # The integers n in range and their probes n +- offset that stay in it:
-    # only the first integer's left probe can fall below lo.
+    # The integers n in range and their probes n +- offset in range.
     first = math.ceil(lo) * d
     left = first - offset if first - offset >= low else first - offset + d
     ys = set(range(low, high + 1, stride))
@@ -348,8 +346,7 @@ def rr_scan(lo, hi, step) -> ScanReport:
     integer in range and probes just left and right of each integer
     (the function is a step function; jumps happen exactly at integers).
     Raises SizeCapError when that is more than MAX_SCAN_POINTS points.
-    The points are decided as ints; a row is built only when
-    ``ScanReport.rows`` is read.
+    Builds no row: ``ScanReport.rows`` builds them when read.
     """
     lo = _checked_rational(lo, "lo")
     hi = _checked_rational(hi, "hi")

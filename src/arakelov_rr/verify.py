@@ -225,8 +225,7 @@ def verify_golden_table(inject_fault: bool = False) -> SuiteResult:
 
 
 def verify_construction(a_max: int = CONSTRUCTION_MAX) -> SuiteResult:
-    """The explicit size-(n+1) construction generates for every a up to a_max,
-    and the counting lower bound says no smaller set does."""
+    """For every a up to a_max, the size-(n+1) construction generates and no smaller set can."""
     _check_suite_bound("construction bound", a_max, CONSTRUCTION_CAP)
     result = SuiteResult("interval-construction")
     for a in range(1, a_max + 1):
